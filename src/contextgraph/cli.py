@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .context import weight_vector
-from .exemplar import ExemplarSet, intent_topk, load_bijections, _ExemplarScorer
+from .exemplar import ExemplarSet, hybrid_context, intent_topk, load_bijections
 from .graph import GraphLoadError, load_graph, load_schema
 from .index import IndexFileError, build_index, load_index, save_index
 from .search import (SearchParams, SearchTimeout, naive_range, naive_topk,
@@ -93,7 +93,7 @@ def _load_query(nodes_path, edges_path, schema, directed):
     return load_graph(nodes_path, edges_path, schema, directed)
 
 
-def _resolve_index(args, need_files_ok=True):
+def _resolve_index(args):
     """Load a prebuilt index, or build one in memory from target files."""
     has_files = args.schema or args.nodes or args.edges
     if args.index and has_files:
@@ -159,40 +159,27 @@ def cmd_build_index(args):
     return 0
 
 
-def cmd_query(args):
+def cmd_search(args):
+    """query (top-k) and range: one indexed search, weights learned once."""
     index = _resolve_index(args)
     g = index.graph
     q = _load_query(args.query_nodes, args.query_edges, g.schema, g.directed)
     params = SearchParams(k=args.k, beam_width=args.beam_width, scorer=args.scorer)
     weights = weight_vector(q, index.null_model)
     t0 = time.perf_counter()
-    matches = topk_search(q, index, params)
+    if args.command == "query":
+        matches = topk_search(q, index, params, weights)
+        header = {"k": args.k}
+    else:
+        matches = range_search(q, index, args.r, params, weights)
+        header = {"r": args.r, "matches": len(matches)}
     elapsed = time.perf_counter() - t0
+    header.update({"record": "header", "command": args.command,
+                   "scorer": args.scorer, "beam_width": args.beam_width,
+                   "weights": list(weights), "query_nodes": q.n_nodes,
+                   "query_edges": q.n_edges, "seconds": elapsed})
     writer = _Writer(args.format)
-    writer.emit({"record": "header", "command": "query", "k": args.k,
-                 "scorer": args.scorer, "beam_width": args.beam_width,
-                 "weights": list(weights), "query_nodes": q.n_nodes,
-                 "query_edges": q.n_edges, "seconds": elapsed})
-    for rank, match in enumerate(matches, start=1):
-        writer.emit(_match_record(match, rank, g, q))
-    return 0
-
-
-def cmd_range(args):
-    index = _resolve_index(args)
-    g = index.graph
-    q = _load_query(args.query_nodes, args.query_edges, g.schema, g.directed)
-    params = SearchParams(beam_width=args.beam_width, scorer=args.scorer)
-    weights = weight_vector(q, index.null_model)
-    t0 = time.perf_counter()
-    matches = range_search(q, index, args.r, params)
-    elapsed = time.perf_counter() - t0
-    writer = _Writer(args.format)
-    writer.emit({"record": "header", "command": "range", "r": args.r,
-                 "scorer": args.scorer, "beam_width": args.beam_width,
-                 "weights": list(weights), "query_nodes": q.n_nodes,
-                 "query_edges": q.n_edges, "matches": len(matches),
-                 "seconds": elapsed})
+    writer.emit(header)
     for rank, match in enumerate(matches, start=1):
         writer.emit(_match_record(match, rank, g, q))
     return 0
@@ -246,8 +233,7 @@ def cmd_intent(args):
     es = ExemplarSet(exemplars, bijections)
     params = SearchParams(k=args.k, beam_width=args.beam_width)
     use_filters = not args.no_filters
-    scorer = _ExemplarScorer(es, index, args.weight_mode, args.agg_mode,
-                             use_filters)
+    hc = hybrid_context(es, index.null_model)
     t0 = time.perf_counter()
     matches = intent_topk(es, index, params, args.weight_mode, args.agg_mode,
                           use_filters)
@@ -257,23 +243,14 @@ def cmd_intent(args):
     writer.emit({"record": "header", "command": "intent", "k": args.k,
                  "exemplars": len(es), "weight_mode": args.weight_mode,
                  "agg_mode": args.agg_mode, "filters": use_filters,
-                 "exact_match": [names[f] for f in scorer.hybrid.exact_match],
-                 "exact_relation": [names[f] for f in scorer.hybrid.exact_relation],
-                 "hybrid_weights": list(scorer.hybrid.weights),
+                 "exact_match": [names[f] for f in hc.exact_match],
+                 "exact_relation": [names[f] for f in hc.exact_relation],
+                 "hybrid_weights": list(hc.weights),
                  "seconds": elapsed})
     q = es.graphs[0]
     for rank, match in enumerate(matches, start=1):
         writer.emit(_match_record(match, rank, g, q))
     return 0
-
-
-_BENCH_STATE = {}
-
-
-def _bench_one(q):
-    t0 = time.perf_counter()
-    topk_search(q, _BENCH_STATE["index"], _BENCH_STATE["params"])
-    return time.perf_counter() - t0
 
 
 def cmd_bench(args):
@@ -290,24 +267,14 @@ def cmd_bench(args):
     writer = _Writer(args.format)
     writer.emit({"record": "header", "command": "bench", "sizes": sizes,
                  "queries": args.queries, "k": args.k, "seed": args.seed,
-                 "beam_width": args.beam_width, "with_oracle": args.with_oracle,
-                 "jobs": args.jobs})
+                 "beam_width": args.beam_width, "with_oracle": args.with_oracle})
     for size in sizes:
         queries = [grow_query(g, size, rng) for _ in range(args.queries)]
-        if args.jobs > 1:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-            _BENCH_STATE["index"] = index
-            _BENCH_STATE["params"] = params
-            ctx = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(max_workers=args.jobs, mp_context=ctx) as ex:
-                times = list(ex.map(_bench_one, queries))
-        else:
-            times = []
-            for q in queries:
-                t0 = time.perf_counter()
-                topk_search(q, index, params)
-                times.append(time.perf_counter() - t0)
+        times = []
+        for q in queries:
+            t0 = time.perf_counter()
+            topk_search(q, index, params)
+            times.append(time.perf_counter() - t0)
         row = {"record": "row", "size": size, "queries": len(queries),
                "mean_s": statistics.fmean(times),
                "median_s": statistics.median(times)}
@@ -363,7 +330,7 @@ def build_parser():
     _add_format_arg(p)
     p.add_argument("--query-nodes")
     p.add_argument("--query-edges")
-    p.set_defaults(func=cmd_query)
+    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("range", help="all matches scoring at least --r")
     _add_target_args(p)
@@ -373,7 +340,7 @@ def build_parser():
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--query-nodes")
     p.add_argument("--query-edges")
-    p.set_defaults(func=cmd_range)
+    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle", help="exhaustive reference search (slow)")
     _add_target_args(p)
@@ -414,7 +381,6 @@ def build_parser():
     p.add_argument("--with-oracle", action="store_true")
     p.add_argument("--oracle-budget", type=float, default=10.0,
                    help="seconds per oracle run before reporting a lower bound")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stats", help="describe an index")

@@ -200,8 +200,7 @@ class _ExemplarScorer:
     edges stays a sound upper bound and the index phases prune safely.
     """
 
-    def __init__(self, es, index, weight_mode="individual", agg_mode="min",
-                 use_filters=True):
+    def __init__(self, es, index, weight_mode="individual", agg_mode="min"):
         if agg_mode not in ("min", "mean"):
             raise ValueError(f"unknown agg_mode {agg_mode!r}")
         per = exemplar_weights(es, index.null_model)
@@ -209,19 +208,17 @@ class _ExemplarScorer:
             per = [averaged_weights(per)] * len(es)
         elif weight_mode != "individual":
             raise ValueError(f"unknown weight_mode {weight_mode!r}")
-        self.es = es
         self.u = len(es)
         self.per_weights = per
         self.agg_min = agg_mode == "min"
         hc = hybrid_context(es, index.null_model)
         self.order_weights = (hc.weights if sum(hc.weights) > 0.0
                               else averaged_weights(per))
-        self.filter_em = hc.exact_match if use_filters else ()
-        self.filter_er = hc.exact_relation if use_filters else ()
         self.hybrid = hc
-        self.q_assoc = [association_vectors(g) for g in es.graphs]
+        # query association vectors per exemplar, in the first exemplar's edge ids
+        self.q_assoc = [[assoc[e] for e in emap] for assoc, emap in
+                        zip(map(association_vectors, es.graphs), es.edge_maps)]
         self.t_assoc = index.assoc
-        self.t_graph = index.graph
         self.m_q = es.graphs[0].n_edges
         self._cs = {}
 
@@ -230,20 +227,16 @@ class _ExemplarScorer:
             return min(values)
         return sum(values) / self.u
 
-    def pair_vec(self, qe, te):
-        key = (qe, te)
-        vec = self._cs.get(key)
-        if vec is None:
-            vec = tuple(edge_similarity(self.q_assoc[i][self.es.edge_maps[i][qe]],
-                                        self.t_assoc[te], self.per_weights[i])
-                        for i in range(self.u))
-            self._cs[key] = vec
-        return vec
-
     def state_score(self, nmap, sig):
+        cache = self._cs
         sums = [0.0] * self.u
         for qe, te in sig:
-            vec = self.pair_vec(qe, te)
+            vec = cache.get((qe, te))
+            if vec is None:
+                vec = tuple(edge_similarity(self.q_assoc[i][qe], self.t_assoc[te],
+                                            self.per_weights[i])
+                            for i in range(self.u))
+                cache[(qe, te)] = vec
             for i in range(self.u):
                 sums[i] += vec[i]
         return self._agg(sums)
@@ -252,32 +245,11 @@ class _ExemplarScorer:
         return score + (self.m_q - n_pairs)
 
     def mbr_value(self, qe, mbr):
-        return self._agg([mbr_similarity(self.q_assoc[i][self.es.edge_maps[i][qe]],
-                                         self.per_weights[i], mbr)
+        return self._agg([mbr_similarity(self.q_assoc[i][qe], self.per_weights[i], mbr)
                           for i in range(self.u)])
 
     def seed_bound(self, value):
         return value + (self.m_q - 1)
-
-    def edge_admissible(self, qe, te):
-        s_q = self.q_assoc[0][qe]
-        s_t = self.t_assoc[te]
-        for f in self.filter_er:
-            if s_q[f] != s_t[f]:
-                return False
-        return True
-
-    def orientation_admissible(self, qe, te, ori):
-        if not self.filter_em:
-            return True
-        first = self.es.graphs[0]
-        for qn, tn in ori:
-            fq = first.node_features[qn]
-            ft = self.t_graph.node_features[tn]
-            for f in self.filter_em:
-                if fq[f] != ft[f]:
-                    return False
-        return True
 
 
 def intent_topk(es, index, params=None, weight_mode="individual",
@@ -292,9 +264,11 @@ def intent_topk(es, index, params=None, weight_mode="individual",
         params = SearchParams()
     if params.k < 1:
         raise ValueError("k must be >= 1")
-    scorer = _ExemplarScorer(es, index, weight_mode, agg_mode, use_filters)
-    return _search(es.graphs[0], index, scorer, params.beam_width,
-                   k=params.k, audit=audit)
+    scorer = _ExemplarScorer(es, index, weight_mode, agg_mode)
+    hc = scorer.hybrid
+    em, er = (hc.exact_match, hc.exact_relation) if use_filters else ((), ())
+    return _search(es.graphs[0], index, scorer, params.beam_width, k=params.k,
+                   audit=audit, exact_match=em, exact_relation=er)
 
 
 def load_bijections(path, graphs):

@@ -213,10 +213,9 @@ class IndexParams:
 class EdgeIndex:
     """Searchable bundle: target graph, null model, association data, tree."""
 
-    def __init__(self, graph, params, binner, null_model, assoc, summaries, root):
+    def __init__(self, graph, params, null_model, assoc, summaries, root):
         self.graph = graph
         self.params = params
-        self.binner = binner
         self.null_model = null_model
         self.assoc = assoc
         self.summaries = summaries
@@ -256,12 +255,11 @@ def build_index(g, branching=4, leaf_threshold=100, buckets=10, bins=10, radius=
         raise ValueError("cannot index a graph without edges")
     params = IndexParams(branching, leaf_threshold, buckets, bins, radius)
     null_model = estimate_null_model(g, bins=bins)
-    binner = null_model.binner
     assoc = association_vectors(g)
     summaries = [neighborhood_summary(g, e, buckets, radius, assoc)
                  for e in range(g.n_edges)]
     root = construct_tree(assoc, range(g.n_edges), branching, leaf_threshold)
-    return EdgeIndex(g, params, binner, null_model, assoc, summaries, root)
+    return EdgeIndex(g, params, null_model, assoc, summaries, root)
 
 
 def _encode_key(key):
@@ -320,7 +318,8 @@ def save_index(index, path):
                    "buckets": index.params.buckets,
                    "bins": index.params.bins,
                    "radius": index.params.radius},
-        "binner": [list(c) if c is not None else None for c in index.binner.cuts],
+        "binner": [list(c) if c is not None else None
+                   for c in index.null_model.binner.cuts],
         "null_model": {"floor": index.null_model.floor,
                        "edge_count": index.null_model.edge_count,
                        "tables": tables},
@@ -337,7 +336,12 @@ def save_index(index, path):
 
 
 def load_index(path):
-    """Read an index file written by save_index."""
+    """Read an index file written by save_index.
+
+    Raises IndexFileError for a file that is not a whole index: a bad header,
+    a corrupt or malformed payload, array lengths that differ from the edge
+    count, or a tree whose leaves do not hold each edge exactly once.
+    """
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC) + 12)
         if len(head) < len(MAGIC) + 12 or head[: len(MAGIC)] != MAGIC:
@@ -350,9 +354,19 @@ def load_index(path):
             raise IndexFileError(f"{path}: truncated or trailing data")
     try:
         payload = json.loads(zlib.decompress(blob).decode("utf-8"))
-    except (zlib.error, json.JSONDecodeError) as exc:
+    except (zlib.error, json.JSONDecodeError, RecursionError) as exc:
         raise IndexFileError(f"{path}: corrupt payload ({exc})") from None
 
+    try:
+        return _decode_index(payload)
+    except KeyError as exc:
+        raise IndexFileError(f"{path}: malformed payload (missing key {exc})") from None
+    except (TypeError, ValueError, IndexError, RecursionError) as exc:
+        raise IndexFileError(f"{path}: malformed payload ({exc})") from None
+
+
+def _decode_index(payload):
+    """EdgeIndex of a decompressed payload; ValueError when it breaks shape."""
     schema = FeatureSchema(tuple(payload["schema"]["names"]),
                            tuple(payload["schema"]["kinds"]))
     kinds = schema.kinds
@@ -371,4 +385,17 @@ def load_index(path):
     assoc = [tuple(vec) for vec in payload["assoc"]]
     summaries = [tuple(tuple(row) for row in summary) for summary in payload["summaries"]]
     root = _decode_node(payload["tree"])
-    return EdgeIndex(g, params, binner, null_model, assoc, summaries, root)
+    m = g.n_edges
+    if len(assoc) != m or len(summaries) != m:
+        raise ValueError(f"association or summary count differs from the {m} edges")
+    entries = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            entries.extend(node.entries)
+        else:
+            stack.extend(node.children)
+    if sorted(entries) != list(range(m)):
+        raise ValueError("tree leaves do not hold each edge exactly once")
+    return EdgeIndex(g, params, null_model, assoc, summaries, root)

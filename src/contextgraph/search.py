@@ -24,10 +24,11 @@ from dataclasses import dataclass
 from heapq import heappop, heappush, heapreplace
 from itertools import count
 
-from .context import weight_vector
+from .context import estimate_null_model, weight_vector
 from .index import mbr_similarity, neighborhood_similarity, neighborhood_summary
 from .similarity import (Mapping, ScoredMatch, association_vectors,
-                         edge_similarity, traditional_graph_similarity,
+                         contextual_graph_similarity, edge_similarity,
+                         traditional_graph_similarity,
                          traditional_node_similarity)
 
 
@@ -166,38 +167,14 @@ def enumerate_mcs(q, g, deadline=None):
     return [found[sig] for sig in sorted(found)]
 
 
-def _contextual_score_fn(q, g, weights):
-    qa = association_vectors(q)
-    ta = association_vectors(g)
-    cache = {}
-
-    def score(mapping):
-        total = 0.0
-        for pair in sorted(mapping.edge_pairs):
-            cs = cache.get(pair)
-            if cs is None:
-                cs = edge_similarity(qa[pair[0]], ta[pair[1]], weights)
-                cache[pair] = cs
-            total += cs
-        return total
-
-    return score
-
-
-def _resolve_weights(q, g, weights, null_model, bins):
-    if weights is not None:
-        return tuple(weights)
-    if null_model is None:
-        from .context import estimate_null_model
-        null_model = estimate_null_model(g, bins=bins)
-    return weight_vector(q, null_model)
-
-
 def _rank_all(q, g, scorer, weights, null_model, bins, deadline):
     maps = enumerate_mcs(q, g, deadline)
     if scorer == "contextual":
-        w = _resolve_weights(q, g, weights, null_model, bins)
-        score = _contextual_score_fn(q, g, w)
+        if weights is None:
+            if null_model is None:
+                null_model = estimate_null_model(g, bins=bins)
+            weights = weight_vector(q, null_model)
+        score = lambda m: contextual_graph_similarity(m, q, g, weights)
     elif scorer == "traditional":
         score = lambda m: traditional_graph_similarity(m, q, g)
     else:
@@ -238,14 +215,6 @@ class _ContextualScorer:
         self.m_q = q.n_edges
         self._cs = {}
 
-    def pair_score(self, qe, te):
-        key = (qe, te)
-        cs = self._cs.get(key)
-        if cs is None:
-            cs = edge_similarity(self.q_assoc[qe], self.t_assoc[te], self.weights)
-            self._cs[key] = cs
-        return cs
-
     def state_score(self, nmap, sig):
         # canonical order: summed along the sorted signature, so the same
         # mapping always produces the same float as the reference engine
@@ -268,12 +237,6 @@ class _ContextualScorer:
 
     def seed_bound(self, value):
         return value + (self.m_q - 1)
-
-    def edge_admissible(self, qe, te):
-        return True
-
-    def orientation_admissible(self, qe, te, ori):
-        return True
 
 
 class _TraditionalScorer:
@@ -311,12 +274,6 @@ class _TraditionalScorer:
 
     def seed_bound(self, value):
         return math.inf
-
-    def edge_admissible(self, qe, te):
-        return True
-
-    def orientation_admissible(self, qe, te, ori):
-        return True
 
 
 class _TopK:
@@ -363,8 +320,23 @@ class _Threshold:
         return [ScoredMatch(Mapping(nmap, sig), score) for score, sig, nmap in order]
 
 
-def _search(q, index, scorer, beam_width, k=None, r=None, audit=None):
-    """Shared three-phase engine; exactly one of k / r is set."""
+def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
+            exact_match=(), exact_relation=()):
+    """Shared three-phase engine; exactly one of k / r is set.
+
+    The scorer supplies five members:
+      order_weights              feature weights that order query edges,
+                                 tree nodes and leaf entries
+      state_score(nmap, sig)     score of a mapping, summed along sig
+      state_bound(score, n_pairs, n_nodes)
+                                 best final score reachable from a state
+      mbr_value(qe, mbr)         bound on qe's pair value under a tree box
+      seed_bound(value)          best final score from a seed of that value
+    exact_match and exact_relation are feature indices the match must keep
+    exactly: a target edge seeds only when its association components on
+    exact_relation equal the query edge's, and a seed orientation only when
+    its node values on exact_match equal the query nodes'.
+    """
     g = index.graph
     _check_compatible(q, g)
     if beam_width < 1:
@@ -385,10 +357,12 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None):
             audit.prunes.append((kind, bound, ans.least()))
 
     params = index.params
-    q_summaries = [neighborhood_summary(q, e, params.buckets, params.radius)
+    q_assoc = association_vectors(q)
+    q_summaries = [neighborhood_summary(q, e, params.buckets, params.radius, q_assoc)
                    for e in range(m_q)]
     order_w = scorer.order_weights
     summaries = index.summaries
+    t_assoc = index.assoc
 
     visited = set()
     found = set()
@@ -446,9 +420,10 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None):
         qu, qv = q.edges[qe]
         fu = q.node_features[qu]
         fv = q.node_features[qv]
+        s_q = q_assoc[qe]
         scored = []
         for te in node.entries:
-            if not scorer.edge_admissible(qe, te):
+            if exact_relation and any(s_q[f] != t_assoc[te][f] for f in exact_relation):
                 continue
             ns = neighborhood_similarity(q_summaries[qe], summaries[te], order_w)
             a, b = g.edges[te]
@@ -469,7 +444,9 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None):
             pq = []
             for _, _, te in batch:
                 for ori in _seed_orientations(q, g, qe, te):
-                    if not scorer.orientation_admissible(qe, te, ori):
+                    if exact_match and any(
+                            q.node_features[qn][f] != g.node_features[tn][f]
+                            for qn, tn in ori for f in exact_match):
                         continue
                     nmap = dict(ori)
                     sig = ((qe, te),)

@@ -5,10 +5,15 @@ index tests: three researchers from one lab with close citation counts,
 queried against a second lab where one pair shares a research area.
 """
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from contextgraph.graph import CATEGORICAL, NUMERIC, FeatureSchema, Graph
+from contextgraph.index import FORMAT_VERSION, MAGIC
 from contextgraph.synth import grow_query, random_graph
 
 COLLAB_SCHEMA = FeatureSchema(("organization", "area", "h_index"),
@@ -53,3 +58,17 @@ def make_instance(rng, min_nodes=8, max_nodes=28, directed=None,
     g = random_graph(rng, n, m, directed=directed)
     q = grow_query(g, query_edges, rng)
     return g, q
+
+
+def write_index_payload(path, text):
+    """Write JSON text as an index file under a valid header, so only the
+    payload can be at fault."""
+    blob = zlib.compress(text.encode("utf-8"))
+    path.write_bytes(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(blob)) + blob)
+
+
+def edit_index_payload(path, edit):
+    """Rewrite an index file after edit(payload) changed its JSON document."""
+    payload = json.loads(zlib.decompress(path.read_bytes()[len(MAGIC) + 12:]))
+    edit(payload)
+    write_index_payload(path, json.dumps(payload))

@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
+import contextgraph.cli as cg_cli
+import contextgraph.search as cg_search
 from contextgraph.cli import main
 from contextgraph.graph import save_graph, save_schema
 from contextgraph.index import MAGIC, load_index
 from contextgraph.synth import grow_query, random_graph
+from conftest import edit_index_payload
 
 
 def write_instance(tmp_path, seed=0, n_nodes=20, n_edges=34, query_edges=3):
@@ -206,6 +209,22 @@ class TestOracle:
         assert len(records(capsys)) == 4
 
 
+@pytest.mark.parametrize("command, extra", [("query", []), ("range", ["--r", 1.5])])
+def test_weights_computed_once(tmp_path, capsys, monkeypatch, command, extra):
+    paths, _, _ = write_instance(tmp_path, seed=5)
+    calls = []
+    for module in (cg_cli, cg_search):
+        def counted(*args, _fn=module.weight_vector, _where=module.__name__):
+            calls.append(_where)
+            return _fn(*args)
+        monkeypatch.setattr(module, "weight_vector", counted)
+    code = run([command, "--schema", paths["schema"], "--nodes", paths["nodes"],
+                "--edges", paths["edges"], "--query-nodes", paths["query_nodes"],
+                "--query-edges", paths["query_edges"], *extra])
+    assert code == 0
+    assert len(calls) == 1, calls
+
+
 class TestRange:
     def test_threshold_filter(self, tmp_path, capsys):
         paths, _, q = write_instance(tmp_path, seed=6)
@@ -311,6 +330,16 @@ class TestStats:
 
     def test_unknown_command_exits_two(self, capsys):
         assert run(["transmogrify"]) == 2
+
+    def test_malformed_index_payload(self, tmp_path, capsys):
+        paths, _, _ = write_instance(tmp_path)
+        run(["build-index", "--schema", paths["schema"], "--nodes",
+             paths["nodes"], "--edges", paths["edges"], "--index", paths["index"]])
+        capsys.readouterr()
+        edit_index_payload(paths["index"], lambda doc: doc.pop("summaries"))
+        code = run(["stats", "--index", paths["index"]])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_unreadable_index(self, tmp_path, capsys):
         bad = tmp_path / "bad.cgq"

@@ -11,6 +11,7 @@ from contextgraph.index import (MBR, EdgeIndex, IndexFileError, bucket_index,
                                 save_index)
 from contextgraph.similarity import association_vectors, edge_similarity
 from contextgraph.synth import random_graph
+from conftest import edit_index_payload, write_index_payload
 
 
 class TestMbr:
@@ -208,7 +209,7 @@ class TestPersistence:
         assert loaded.summaries == idx.summaries
         assert loaded.root == idx.root
         assert loaded.null_model.tables == idx.null_model.tables
-        assert loaded.binner == idx.binner
+        assert loaded.null_model.binner == idx.null_model.binner
 
     def test_round_trip_bytes_stable(self, tmp_path):
         g = random_graph(np.random.default_rng(9), 22, 40)
@@ -260,6 +261,48 @@ class TestPersistence:
         save_index(idx, path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(IndexFileError, match="trailing"):
+            load_index(path)
+
+    def saved(self, tmp_path):
+        g = random_graph(np.random.default_rng(14), 20, 36)
+        path = tmp_path / "p.cgq"
+        save_index(build_index(g, branching=3, leaf_threshold=6), path)
+        return path
+
+    def test_rejects_missing_key(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_index_payload(path, lambda doc: doc.pop("summaries"))
+        with pytest.raises(IndexFileError, match="missing key 'summaries'"):
+            load_index(path)
+
+    def test_rejects_wrongly_typed_payload(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_index_payload(path, lambda doc: doc.update(edges=7))
+        with pytest.raises(IndexFileError, match="malformed"):
+            load_index(path)
+
+    def test_rejects_deeply_nested_payload(self, tmp_path):
+        path = tmp_path / "deep.cgq"
+        write_index_payload(path, "[" * 100000 + "]" * 100000)
+        with pytest.raises(IndexFileError, match="corrupt"):
+            load_index(path)
+
+    def test_rejects_leaf_that_drops_an_edge(self, tmp_path):
+        def drop(doc):
+            node = doc["tree"]
+            while "entries" not in node:
+                node = node["children"][0]
+            node["entries"].pop()
+
+        path = self.saved(tmp_path)
+        edit_index_payload(path, drop)
+        with pytest.raises(IndexFileError, match="each edge exactly once"):
+            load_index(path)
+
+    def test_rejects_array_length_mismatch(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_index_payload(path, lambda doc: doc["assoc"].pop())
+        with pytest.raises(IndexFileError, match="count differs"):
             load_index(path)
 
     def test_set_values_survive_round_trip(self, tmp_path):
