@@ -166,12 +166,14 @@ class HybridContext:
     """Split of the feature set into hard filters and weighted context.
 
     weights spans all features with zeros on the filtered ones; the rest
-    carry the renormalized mean of the per-exemplar chi-square weights.
+    carry the renormalized mean of the per-exemplar chi-square weights,
+    which per_weights holds, one vector per exemplar.
     """
 
     exact_match: tuple
     exact_relation: tuple
     weights: tuple
+    per_weights: list
 
 
 def hybrid_context(es, nm):
@@ -190,7 +192,7 @@ def hybrid_context(es, nm):
         weights = tuple(0.0 if f in excluded else 1.0 / len(free) for f in range(d))
     else:
         weights = tuple(0.0 if f in excluded else sums[f] / total for f in range(d))
-    return HybridContext(em, er, weights)
+    return HybridContext(em, er, weights, per)
 
 
 class _ExemplarScorer:
@@ -203,7 +205,8 @@ class _ExemplarScorer:
     def __init__(self, es, index, weight_mode="individual", agg_mode="min"):
         if agg_mode not in ("min", "mean"):
             raise ValueError(f"unknown agg_mode {agg_mode!r}")
-        per = exemplar_weights(es, index.null_model)
+        hc = hybrid_context(es, index.null_model)
+        per = hc.per_weights
         if weight_mode == "averaged":
             per = [averaged_weights(per)] * len(es)
         elif weight_mode != "individual":
@@ -211,7 +214,6 @@ class _ExemplarScorer:
         self.u = len(es)
         self.per_weights = per
         self.agg_min = agg_mode == "min"
-        hc = hybrid_context(es, index.null_model)
         self.order_weights = (hc.weights if sum(hc.weights) > 0.0
                               else averaged_weights(per))
         self.hybrid = hc
@@ -227,19 +229,31 @@ class _ExemplarScorer:
             return min(values)
         return sum(values) / self.u
 
+    def _pair_vector(self, pair):
+        qe, te = pair
+        vec = tuple(edge_similarity(self.q_assoc[i][qe], self.t_assoc[te],
+                                    self.per_weights[i])
+                    for i in range(self.u))
+        self._cs[pair] = vec
+        return vec
+
     def state_score(self, nmap, sig):
         cache = self._cs
         sums = [0.0] * self.u
-        for qe, te in sig:
-            vec = cache.get((qe, te))
+        for pair in sig:
+            vec = cache.get(pair)
             if vec is None:
-                vec = tuple(edge_similarity(self.q_assoc[i][qe], self.t_assoc[te],
-                                            self.per_weights[i])
-                            for i in range(self.u))
-                cache[(qe, te)] = vec
+                vec = self._pair_vector(pair)
             for i in range(self.u):
                 sums[i] += vec[i]
         return self._agg(sums)
+
+    def pair_gain(self, qe, te, new):
+        # min(s + c) <= min(s) + max(c); the mean of s + c is mean(s) + mean(c)
+        vec = self._cs.get((qe, te))
+        if vec is None:
+            vec = self._pair_vector((qe, te))
+        return max(vec) if self.agg_min else sum(vec) / self.u
 
     def state_bound(self, score, n_pairs, n_nodes):
         return score + (self.m_q - n_pairs)

@@ -388,10 +388,19 @@ def _decode_index(payload):
     m = g.n_edges
     if len(assoc) != m or len(summaries) != m:
         raise ValueError(f"association or summary count differs from the {m} edges")
+    d = len(schema)
+    if any(len(vec) != d for vec in assoc):
+        raise ValueError(f"association vector width differs from the {d} features")
+    if any(len(summary) != d or any(len(row) != params.buckets for row in summary)
+           for summary in summaries):
+        raise ValueError(f"summary shape differs from {d} features x "
+                         f"{params.buckets} buckets")
     entries = []
     stack = [root]
     while stack:
         node = stack.pop()
+        if len(node.mbr.lo) != d or len(node.mbr.hi) != d:
+            raise ValueError(f"tree box width differs from the {d} features")
         if node.is_leaf:
             entries.extend(node.entries)
         else:

@@ -12,9 +12,11 @@ index: query edges are taken in order of their similarity bound against the
 tree root (phase 1), the tree is descended best-first with bound-checked
 pruning (phase 2), and leaf entries are consumed in beam batches ordered by
 neighborhood similarity, each seed grown through a bound-ordered priority
-queue (phase 3). Every discarded state is covered by an upper bound that
-cannot beat the current answer threshold, so the returned score multiset
-equals the naive one.
+queue (phase 3). Growth prunes a child in two stages: first on a bound
+estimated from its parent's score and the pair it adds, before the child is
+built or remembered, then on the bound of its canonical score. Every
+discarded state is covered by an upper bound that cannot beat the current
+answer threshold, so the returned score multiset equals the naive one.
 """
 
 import math
@@ -215,6 +217,12 @@ class _ContextualScorer:
         self.m_q = q.n_edges
         self._cs = {}
 
+    def _pair_value(self, pair):
+        cs = edge_similarity(self.q_assoc[pair[0]], self.t_assoc[pair[1]],
+                             self.weights)
+        self._cs[pair] = cs
+        return cs
+
     def state_score(self, nmap, sig):
         # canonical order: summed along the sorted signature, so the same
         # mapping always produces the same float as the reference engine
@@ -223,11 +231,15 @@ class _ContextualScorer:
         for pair in sig:
             cs = cache.get(pair)
             if cs is None:
-                cs = edge_similarity(self.q_assoc[pair[0]],
-                                     self.t_assoc[pair[1]], self.weights)
-                cache[pair] = cs
+                cs = self._pair_value(pair)
             total += cs
         return total
+
+    def pair_gain(self, qe, te, new):
+        cs = self._cs.get((qe, te))
+        if cs is None:
+            cs = self._pair_value((qe, te))
+        return cs
 
     def state_bound(self, score, n_pairs, n_nodes):
         return score + (self.m_q - n_pairs)
@@ -253,18 +265,31 @@ class _TraditionalScorer:
         self.n_q = q.n_nodes
         self._ts = {}
 
+    def _node_value(self, key):
+        ts = traditional_node_similarity(self.q.node_features[key[0]],
+                                         self.g.node_features[key[1]],
+                                         self.q.schema)
+        self._ts[key] = ts
+        return ts
+
     def state_score(self, nmap, sig):
+        cache = self._ts
         total = 0.0
         for qn in sorted(nmap):
             key = (qn, nmap[qn])
-            ts = self._ts.get(key)
+            ts = cache.get(key)
             if ts is None:
-                ts = traditional_node_similarity(self.q.node_features[qn],
-                                                 self.g.node_features[key[1]],
-                                                 self.q.schema)
-                self._ts[key] = ts
+                ts = self._node_value(key)
             total += ts
         return total + len(sig)
+
+    def pair_gain(self, qe, te, new):
+        # one for the edge, plus the value of the node it brings, if any
+        gain = 1.0
+        for key in new:
+            ts = self._ts.get(key)
+            gain += self._node_value(key) if ts is None else ts
+        return gain
 
     def state_bound(self, score, n_pairs, n_nodes):
         return score + (self.m_q - n_pairs) + (self.n_q - n_nodes)
@@ -288,6 +313,9 @@ class _TopK:
             return -math.inf
         return self.heap[0][0]
 
+    # a state whose bound is at most floor() cannot enter the answer set
+    floor = least
+
     def offer(self, score, sig, nmap, disc):
         entry = (score, -disc, disc, sig, nmap)
         if len(self.heap) < self.k:
@@ -306,10 +334,15 @@ class _Threshold:
 
     def __init__(self, r):
         self.r = r
+        self.below_r = math.nextafter(r, -math.inf)
         self.items = []
 
     def least(self):
         return self.r
+
+    def floor(self):
+        # bound <= the largest float below r exactly when bound < r
+        return self.below_r
 
     def offer(self, score, sig, nmap, disc):
         if score >= self.r:
@@ -320,18 +353,45 @@ class _Threshold:
         return [ScoredMatch(Mapping(nmap, sig), score) for score, sig, nmap in order]
 
 
+def _growth_slack(m_q):
+    """Rounding slack added to the growth pre-filter's estimate.
+
+    In exact arithmetic a child's canonical bound never exceeds its estimate
+    state_bound(parent score + pair_gain, ...), because pair_gain bounds what
+    the pair adds to the score. In floats each side is built by fewer than
+    2*m_q + 4 + u roundings (u exemplars, none for a single query), and each
+    moves that side by at most 2**-53 * (2*m_q + 2): pair and node values lie
+    in [0, 1], a query has m_q edges and at most m_q + 1 nodes, and the
+    exemplar mean divides its sums by u. So the two sides move apart by less
+    than 2 * (2*m_q + 4 + u) * (2*m_q + 2) * 2**-53, which this slack of
+    512 * (m_q + 1)**2 * 2**-53 covers for up to 250 exemplars.
+    """
+    return (m_q + 1) ** 2 * 2.0 ** -44
+
+
 def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
             exact_match=(), exact_relation=()):
     """Shared three-phase engine; exactly one of k / r is set.
 
-    The scorer supplies five members:
+    The scorer supplies six members:
       order_weights              feature weights that order query edges,
                                  tree nodes and leaf entries
       state_score(nmap, sig)     score of a mapping, summed along sig
       state_bound(score, n_pairs, n_nodes)
                                  best final score reachable from a state
+      pair_gain(qe, te, new)     upper bound on what pair (qe, te) and its new
+                                 node assignments add to a state's score
       mbr_value(qe, mbr)         bound on qe's pair value under a tree box
       seed_bound(value)          best final score from a seed of that value
+    Growth prunes a child in two stages. The first bounds it from its parent
+    alone, state_bound(parent score + pair_gain, ...) + _growth_slack(m_q),
+    and drops it before its signature is built, remembered or scored; the
+    slack makes this estimate at least the child's canonical bound despite
+    rounding, so it only drops children the second stage would drop. A child
+    that survives is scored canonically by state_score and cut on that
+    bound, so answers and the order of pushes match a search without the
+    first stage; a child dropped early is not remembered, so it may be
+    reached and dropped again.
     exact_match and exact_relation are feature indices the match must keep
     exactly: a target edge seeds only when its association components on
     exact_relation equal the query edge's, and a seed orientation only when
@@ -345,16 +405,10 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
     if m_q == 0 or g.n_edges == 0:
         return []
 
-    if r is None:
-        ans = _TopK(k)
-        cut = lambda bound: bound <= ans.least()
-    else:
-        ans = _Threshold(r)
-        cut = lambda bound: bound < r
+    ans = _TopK(k) if r is None else _Threshold(r)
 
     def prune(kind, bound):
-        if audit is not None:
-            audit.prunes.append((kind, bound, ans.least()))
+        audit.prunes.append((kind, bound, ans.least()))
 
     params = index.params
     q_assoc = association_vectors(q)
@@ -363,6 +417,10 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
     order_w = scorer.order_weights
     summaries = index.summaries
     t_assoc = index.assoc
+    state_score = scorer.state_score
+    state_bound = scorer.state_bound
+    pair_gain = scorer.pair_gain
+    slack = _growth_slack(m_q)
 
     visited = set()
     found = set()
@@ -372,24 +430,36 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
     def grow(pq):
         # a connected mapping with two or more pairs is fully determined by
         # its signature (shared endpoints force every node assignment), so
-        # the signature alone is a sound visited key past the seed level
+        # the signature alone is a sound visited key past the seed level;
+        # the threshold only moves when an answer is offered
+        floor = ans.floor()
         while pq:
-            negb, _, _, score, nmap, pairs, sig = heappop(pq)
-            if cut(-negb):
-                prune("growth-queue", -negb)
+            negb, _, _, score, nmap, sig = heappop(pq)
+            if -negb <= floor:
+                if audit is not None:
+                    prune("growth-queue", -negb)
                 break
             if audit is not None:
                 audit.expanded += 1
-            exts = _extensions(q, g, nmap, pairs)
+            exts = _extensions(q, g, nmap, sig)
             if not exts:
                 if sig not in found:
                     found.add(sig)
                     ans.offer(score, sig, nmap, next(disc))
+                    floor = ans.floor()
                     if audit is not None:
                         audit.offers += 1
                         audit.least_trace.append(ans.least())
                 continue
+            n2 = len(sig) + 1
+            n_nodes = len(nmap)
             for qe2, te2, new in exts:
+                est = state_bound(score + pair_gain(qe2, te2, new), n2,
+                                  n_nodes + len(new)) + slack
+                if est <= floor:
+                    if audit is not None:
+                        prune("growth", est)
+                    continue
                 pair = (qe2, te2)
                 pos = bisect_left(sig, pair)
                 sig2 = sig[:pos] + (pair,) + sig[pos:]
@@ -401,16 +471,15 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
                     nm2.update(new)
                 else:
                     nm2 = nmap
-                pairs2 = pairs | {pair}
-                score2 = scorer.state_score(nm2, sig2)
-                bound2 = scorer.state_bound(score2, len(sig2), len(nm2))
-                if cut(bound2):
-                    prune("growth", bound2)
+                score2 = state_score(nm2, sig2)
+                bound2 = state_bound(score2, n2, len(nm2))
+                if bound2 <= floor:
+                    if audit is not None:
+                        prune("growth", bound2)
                     continue
                 # equal bounds pop deepest-first: finishing a mapping early
                 # raises the answer threshold and shrinks the frontier
-                heappush(pq, (-bound2, m_q - len(sig2), next(tick),
-                              score2, nm2, pairs2, sig2))
+                heappush(pq, (-bound2, m_q - n2, next(tick), score2, nm2, sig2))
 
     def handle_leaf(qe, node, leaf_value):
         # order the leaf's entries once for this query edge, best first;
@@ -436,8 +505,9 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
         pos = 0
         while pos < len(scored):
             bound = scorer.seed_bound(leaf_value)
-            if cut(bound):
-                prune("leaf-remainder", bound)
+            if bound <= ans.floor():
+                if audit is not None:
+                    prune("leaf-remainder", bound)
                 return
             batch = scored[pos:pos + beam_width]
             pos += len(batch)
@@ -454,21 +524,22 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
                     if key in visited:
                         continue
                     visited.add(key)
-                    score = scorer.state_score(nmap, sig)
-                    bound = scorer.state_bound(score, 1, len(nmap))
-                    if cut(bound):
-                        prune("seed", bound)
+                    score = state_score(nmap, sig)
+                    bound = state_bound(score, 1, len(nmap))
+                    if bound <= ans.floor():
+                        if audit is not None:
+                            prune("seed", bound)
                         continue
-                    heappush(pq, (-bound, m_q - 1, next(tick), score, nmap,
-                                  frozenset(sig), sig))
+                    heappush(pq, (-bound, m_q - 1, next(tick), score, nmap, sig))
             grow(pq)
 
     root = index.root
     root_values = [scorer.mbr_value(e, root.mbr) for e in range(m_q)]
     for qe in sorted(range(m_q), key=lambda e: (-root_values[e], e)):
         bound = scorer.seed_bound(root_values[qe])
-        if cut(bound):
-            prune("query-edge", bound)
+        if bound <= ans.floor():
+            if audit is not None:
+                prune("query-edge", bound)
             break
         # equal-value tree nodes pop tightest box first: a narrow box that
         # still reaches the top value holds the most specific candidates
@@ -477,8 +548,9 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
         while cands:
             negval, _, _, node = heappop(cands)
             bound = scorer.seed_bound(-negval)
-            if cut(bound):
-                prune("tree-node", bound)
+            if bound <= ans.floor():
+                if audit is not None:
+                    prune("tree-node", bound)
                 break
             if node.is_leaf:
                 handle_leaf(qe, node, -negval)

@@ -12,6 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
+from contextgraph.exemplar import ExemplarSet
 from contextgraph.graph import CATEGORICAL, NUMERIC, FeatureSchema, Graph
 from contextgraph.index import FORMAT_VERSION, MAGIC
 from contextgraph.synth import grow_query, random_graph
@@ -58,6 +59,14 @@ def make_instance(rng, min_nodes=8, max_nodes=28, directed=None,
     g = random_graph(rng, n, m, directed=directed)
     q = grow_query(g, query_edges, rng)
     return g, q
+
+
+def shifted_exemplars(q):
+    """Exemplar set of q and a copy whose numeric first feature is one
+    higher on every node, linked by the identity bijection."""
+    feats = [(row[0] + 1.0,) + tuple(row[1:]) for row in q.node_features]
+    twin = Graph(q.directed, q.schema, feats, q.edges, q.node_ids)
+    return ExemplarSet([q, twin], [{u: u for u in range(q.n_nodes)}])
 
 
 def write_index_payload(path, text):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import contextgraph.exemplar as cg_exemplar
 from contextgraph.context import estimate_null_model, weight_vector
 from contextgraph.exemplar import (ExemplarError, ExemplarSet, HybridContext,
                                    _ExemplarScorer, averaged_weights,
@@ -253,6 +254,23 @@ class TestIntentSearch:
         got = exemplar_similarity(res[0].mapping, es, collab_target, nm,
                                   "individual", "min")
         assert res[0].score == pytest.approx(got)
+
+
+    def test_weights_learned_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, 20, 34)
+        idx = build_index(g, leaf_threshold=6)
+        q = grow_query(g, 3, rng)
+        es = ExemplarSet([q, q], [{i: i for i in range(q.n_nodes)}])
+        calls = []
+
+        def counted(*args, _fn=cg_exemplar.weight_vector):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(cg_exemplar, "weight_vector", counted)
+        intent_topk(es, idx, SearchParams(k=5))
+        assert len(calls) == 2
 
 
 class TestBijectionFiles:

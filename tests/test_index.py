@@ -305,6 +305,18 @@ class TestPersistence:
         with pytest.raises(IndexFileError, match="count differs"):
             load_index(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["assoc"][0].pop(), "association vector width"),
+        (lambda doc: doc["summaries"][0].pop(), "summary shape"),
+        (lambda doc: doc["summaries"][0][0].pop(), "summary shape"),
+        (lambda doc: doc["tree"]["lo"].pop(), "tree box width"),
+    ], ids=["assoc", "summary-rows", "summary-buckets", "tree-box"])
+    def test_rejects_wrong_width(self, tmp_path, edit, message):
+        path = self.saved(tmp_path)
+        edit_index_payload(path, edit)
+        with pytest.raises(IndexFileError, match=message):
+            load_index(path)
+
     def test_set_values_survive_round_trip(self, tmp_path):
         schema = FeatureSchema(("tags",), (CATEGORICAL_SET,))
         g = Graph(False, schema,

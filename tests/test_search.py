@@ -4,14 +4,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from contextgraph.context import weight_vector
+from contextgraph.exemplar import _ExemplarScorer, intent_topk
 from contextgraph.graph import CATEGORICAL, FeatureSchema, Graph
 from contextgraph.index import build_index
 from contextgraph.search import (SearchAudit, SearchParams, SearchTimeout,
-                                 _extensions, _seed_orientations,
-                                 enumerate_mcs, naive_range, naive_topk,
-                                 range_search, topk_search)
-from conftest import make_instance
+                                 _ContextualScorer, _TraditionalScorer,
+                                 _extensions, _growth_slack,
+                                 _seed_orientations, enumerate_mcs,
+                                 naive_range, naive_topk, range_search,
+                                 topk_search)
+from conftest import make_instance, shifted_exemplars
 
 CAT1 = FeatureSchema(("c",), (CATEGORICAL,))
 
@@ -295,6 +301,18 @@ class TestAudit:
         for kind, bound, threshold in audit.prunes:
             assert bound <= threshold + 1e-12
 
+    def test_intent_prunes_never_cut_reachable_scores(self):
+        rng = np.random.default_rng(20)
+        g, q = make_instance(rng)
+        idx = build_index(g, leaf_threshold=3)
+        audit = SearchAudit()
+        intent_topk(shifted_exemplars(q), idx, SearchParams(k=3, beam_width=2),
+                    audit=audit)
+        assert audit.expanded > 0
+        assert audit.offers > 0
+        for kind, bound, threshold in audit.prunes:
+            assert bound <= threshold + 1e-12
+
     def test_range_prunes_stay_below_threshold(self):
         rng = np.random.default_rng(21)
         g, q = make_instance(rng)
@@ -313,3 +331,65 @@ class TestAudit:
         topk_search(q, idx, SearchParams(k=5), audit=audit)
         trace = audit.least_trace
         assert all(a <= b for a, b in zip(trace, trace[1:]))
+
+
+def make_scorer(kind, q, idx):
+    if kind == "contextual":
+        return _ContextualScorer(q, idx, weight_vector(q, idx.null_model))
+    if kind == "traditional":
+        return _TraditionalScorer(q, idx)
+    return _ExemplarScorer(shifted_exemplars(q), idx, agg_mode=kind)
+
+
+class TestGrowthPrefilter:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["contextual", "traditional", "min", "mean"]),
+           query_edges=st.integers(2, 4))
+    def test_estimate_bounds_every_child(self, seed, kind, query_edges):
+        # the pre-filter may drop a child only when its canonical bound
+        # would be dropped too: canonical <= estimate + slack, every child
+        rng = np.random.default_rng(seed)
+        g, q = make_instance(rng, max_nodes=12, query_edges=query_edges)
+        scorer = make_scorer(kind, q, build_index(g, leaf_threshold=3))
+        slack = _growth_slack(q.n_edges)
+        stack = [(dict(ori), ((qe, te),)) for qe in range(q.n_edges)
+                 for te in range(g.n_edges)
+                 for ori in _seed_orientations(q, g, qe, te)]
+        seen = set()
+        children = 0
+        while stack and children < 2000:
+            nmap, sig = stack.pop()
+            score = scorer.state_score(nmap, sig)
+            for qe, te, new in _extensions(q, g, nmap, sig):
+                estimate = scorer.state_bound(score + scorer.pair_gain(qe, te, new),
+                                              len(sig) + 1, len(nmap) + len(new))
+                nm2 = {**nmap, **dict(new)}
+                sig2 = tuple(sorted(sig + ((qe, te),)))
+                canonical = scorer.state_bound(scorer.state_score(nm2, sig2),
+                                               len(sig2), len(nm2))
+                assert canonical <= estimate + slack
+                children += 1
+                if sig2 not in seen:
+                    seen.add(sig2)
+                    stack.append((nm2, sig2))
+
+    def test_pruned_children_are_not_scored(self, monkeypatch):
+        # children dropped on their estimate never reach state_score, so a
+        # search that prunes most children in growth scores fewer states
+        # than it prunes there
+        rng = np.random.default_rng(35)
+        g, q = make_instance(rng, min_nodes=20, query_edges=4)
+        idx = build_index(g, leaf_threshold=3)
+        calls = []
+        score = _ContextualScorer.state_score
+
+        def counted(self, nmap, sig):
+            calls.append(sig)
+            return score(self, nmap, sig)
+
+        monkeypatch.setattr(_ContextualScorer, "state_score", counted)
+        audit = SearchAudit()
+        topk_search(q, idx, SearchParams(k=3), audit=audit)
+        growth = sum(kind == "growth" for kind, _, _ in audit.prunes)
+        assert len(calls) < growth
