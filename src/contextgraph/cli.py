@@ -73,7 +73,6 @@ def _add_build_args(p):
     p.add_argument("--leaf-threshold", type=int, default=100)
     p.add_argument("--buckets", type=int, default=10)
     p.add_argument("--bins", type=int, default=10)
-    p.add_argument("--radius", type=int, default=1)
 
 
 def _add_search_args(p):
@@ -105,7 +104,7 @@ def _resolve_index(args):
     schema, directed = load_schema(args.schema)
     g = load_graph(args.nodes, args.edges, schema, directed)
     return build_index(g, args.branching, args.leaf_threshold, args.buckets,
-                       args.bins, args.radius)
+                       args.bins)
 
 
 def _null_model_doc(index):
@@ -147,7 +146,7 @@ def cmd_build_index(args):
     t0 = time.perf_counter()
     g = load_graph(args.nodes, args.edges, schema, directed)
     index = build_index(g, args.branching, args.leaf_threshold, args.buckets,
-                        args.bins, args.radius)
+                        args.bins)
     built = time.perf_counter() - t0
     save_index(index, args.index)
     if args.dump_null_model:
@@ -236,7 +235,7 @@ def cmd_intent(args):
     hc = hybrid_context(es, index.null_model)
     t0 = time.perf_counter()
     matches = intent_topk(es, index, params, args.weight_mode, args.agg_mode,
-                          use_filters)
+                          use_filters, context=hc)
     elapsed = time.perf_counter() - t0
     names = g.schema.names
     writer = _Writer(args.format)

@@ -202,10 +202,11 @@ class _ExemplarScorer:
     edges stays a sound upper bound and the index phases prune safely.
     """
 
-    def __init__(self, es, index, weight_mode="individual", agg_mode="min"):
+    def __init__(self, es, index, weight_mode="individual", agg_mode="min",
+                 context=None):
         if agg_mode not in ("min", "mean"):
             raise ValueError(f"unknown agg_mode {agg_mode!r}")
-        hc = hybrid_context(es, index.null_model)
+        hc = context if context is not None else hybrid_context(es, index.null_model)
         per = hc.per_weights
         if weight_mode == "averaged":
             per = [averaged_weights(per)] * len(es)
@@ -267,18 +268,20 @@ class _ExemplarScorer:
 
 
 def intent_topk(es, index, params=None, weight_mode="individual",
-                agg_mode="min", use_filters=True, audit=None):
+                agg_mode="min", use_filters=True, audit=None, context=None):
     """Top-k matches of an exemplar set against an indexed target.
 
     The first exemplar drives the growth; scores aggregate all exemplars.
     With use_filters the exact-match / exact-relation features restrict which
-    target edges may seed the search.
+    target edges may seed the search. context is the exemplar set's
+    HybridContext under the index's null model when the caller already has
+    it; otherwise it is learned here.
     """
     if params is None:
         params = SearchParams()
     if params.k < 1:
         raise ValueError("k must be >= 1")
-    scorer = _ExemplarScorer(es, index, weight_mode, agg_mode)
+    scorer = _ExemplarScorer(es, index, weight_mode, agg_mode, context)
     hc = scorer.hybrid
     em, er = (hc.exact_match, hc.exact_relation) if use_filters else ((), ())
     return _search(es.graphs[0], index, scorer, params.beam_width, k=params.k,

@@ -3,30 +3,31 @@
 The tree recursively partitions the target's edges on the highest-variance
 association dimension; every node keeps the minimum bounding rectangle (MBR)
 of its edges' association vectors, so the best edge similarity under a node
-can be bounded without visiting it. Leaves additionally carry per-edge
+can be bounded without visiting it. The index also keeps per-edge
 neighborhood summaries, bucketed histograms of the association values around
 an edge, used to order seed candidates.
 
 Index files start with the magic bytes CGQ1, a format version, and a length
-prefix; the payload is a compressed JSON document covering the target graph,
-binner, null model, and tree in pre-order, so a saved index reloads to a
-structurally identical object.
+prefix; the payload is a compressed JSON document holding only the target
+graph and the build parameters. Everything else is derived from those, so
+load_index rebuilds the index, which yields the same null model, vectors,
+summaries and tree as the saved one. Files of format version 1, which also
+stored the derived data, are rejected.
 """
 
 import json
 import struct
 import zlib
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .context import Binner, NullModel, estimate_null_model
-from .graph import CATEGORICAL_SET, FeatureSchema, Graph, NUMERIC
+from .context import estimate_null_model
+from .graph import CATEGORICAL_SET, FeatureSchema, Graph
 from .similarity import association_vectors
 
 MAGIC = b"CGQ1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class IndexFileError(ValueError):
@@ -144,36 +145,43 @@ def construct_tree(assoc, edge_ids, branching=4, leaf_threshold=100):
     return build(list(edge_ids))
 
 
-_BUCKET_EDGES = {}
+def bucket_index(values, buckets):
+    """0-based histogram bucket of association values in [0, 1].
 
-
-def bucket_index(value, buckets):
-    """0-based histogram bucket of an association value in [0, 1].
-
-    Bucket j covers (j/buckets, (j+1)/buckets]; zero lands in bucket 0.
-    Comparison against exact bucket boundaries avoids multiply-then-ceil
-    rounding surprises at values like 0.9.
+    Works on a scalar or an array. Bucket j covers (j/buckets, (j+1)/buckets];
+    zero lands in bucket 0. Comparison against exact bucket boundaries avoids
+    multiply-then-ceil rounding surprises at values like 0.9.
     """
-    if value <= 0.0:
-        return 0
-    edges = _BUCKET_EDGES.get(buckets)
-    if edges is None:
-        edges = [j / buckets for j in range(1, buckets + 1)]
-        _BUCKET_EDGES[buckets] = edges
-    return min(bisect_left(edges, value), buckets - 1)
+    bounds = np.arange(1, buckets + 1) / buckets
+    return np.minimum(np.searchsorted(bounds, values), buckets - 1)
 
 
-def neighborhood_summary(g, e, buckets=10, radius=1, assoc=None):
-    """Per-feature histogram of association values on the edges around e."""
+def neighborhood_summary(g, buckets=10, assoc=None):
+    """Per-edge, per-feature histograms of association values on the adjacent edges.
+
+    Returns one summary per edge id: d rows of bucket counts over the edges
+    sharing an endpoint with it. All edges come from one pass: each node sums
+    the one-hot buckets of its incident edges, and an edge's histogram is the
+    sum of its two endpoints' minus itself twice. Only a directed graph's
+    reverse edge also shares both endpoints, so it is subtracted once.
+    """
     if assoc is None:
         assoc = association_vectors(g)
-    d = len(g.schema)
-    hist = [[0] * buckets for _ in range(d)]
-    for other in g.neighborhood_edges(e, radius):
-        vec = assoc[other]
-        for i in range(d):
-            hist[i][bucket_index(vec[i], buckets)] += 1
-    return tuple(tuple(row) for row in hist)
+    m, d = g.n_edges, len(g.schema)
+    ends = np.asarray(g.edges, dtype=np.intp).reshape(m, 2)
+    ids = bucket_index(np.asarray(assoc, dtype=float).reshape(m, d), buckets)
+    onehot = np.zeros((m, d, buckets), dtype=np.int32)
+    onehot[np.arange(m)[:, None], np.arange(d), ids] = 1
+    per_node = np.zeros((g.n_nodes, d, buckets), dtype=np.int32)
+    np.add.at(per_node, ends, onehot[:, None])
+    hist = per_node[ends[:, 0]] + per_node[ends[:, 1]] - 2 * onehot
+    if g.directed:
+        pairs = [(e, r) for e, (u, v) in enumerate(g.edges)
+                 if (r := g.edge_between(v, u)) is not None]
+        if pairs:
+            fwd, rev = np.asarray(pairs).T
+            hist[fwd] -= onehot[rev]
+    return [tuple(map(tuple, summary)) for summary in hist.tolist()]
 
 
 def neighborhood_similarity(summary_q, summary_t, weights):
@@ -207,7 +215,6 @@ class IndexParams:
     leaf_threshold: int = 100
     buckets: int = 10
     bins: int = 10
-    radius: int = 1
 
 
 class EdgeIndex:
@@ -245,49 +252,21 @@ class EdgeIndex:
             "leaf_threshold": self.params.leaf_threshold,
             "buckets": self.params.buckets,
             "bins": self.params.bins,
-            "radius": self.params.radius,
         }
 
 
-def build_index(g, branching=4, leaf_threshold=100, buckets=10, bins=10, radius=1):
+def build_index(g, branching=4, leaf_threshold=100, buckets=10, bins=10):
     """Build the full index of a target graph."""
     if g.n_edges == 0:
         raise ValueError("cannot index a graph without edges")
-    params = IndexParams(branching, leaf_threshold, buckets, bins, radius)
+    if buckets < 1:
+        raise ValueError("buckets must be >= 1")
+    params = IndexParams(branching, leaf_threshold, buckets, bins)
     null_model = estimate_null_model(g, bins=bins)
     assoc = association_vectors(g)
-    summaries = [neighborhood_summary(g, e, buckets, radius, assoc)
-                 for e in range(g.n_edges)]
+    summaries = neighborhood_summary(g, buckets, assoc)
     root = construct_tree(assoc, range(g.n_edges), branching, leaf_threshold)
     return EdgeIndex(g, params, null_model, assoc, summaries, root)
-
-
-def _encode_key(key):
-    return [list(part) if isinstance(part, tuple) else part for part in key]
-
-
-def _decode_key(parts, kind):
-    if kind == CATEGORICAL_SET:
-        return tuple(tuple(p) for p in parts)
-    if kind == NUMERIC:
-        return tuple(int(p) for p in parts)
-    return tuple(parts)
-
-
-def _encode_node(node):
-    doc = {"lo": list(node.mbr.lo), "hi": list(node.mbr.hi)}
-    if node.is_leaf:
-        doc["entries"] = list(node.entries)
-    else:
-        doc["children"] = [_encode_node(child) for child in node.children]
-    return doc
-
-
-def _decode_node(doc):
-    box = MBR(tuple(doc["lo"]), tuple(doc["hi"]))
-    if "entries" in doc:
-        return TreeNode(box, entries=tuple(doc["entries"]))
-    return TreeNode(box, children=tuple(_decode_node(c) for c in doc["children"]))
 
 
 def _encode_feature_value(value, kind):
@@ -299,13 +278,10 @@ def _decode_feature_value(value, kind):
 
 
 def save_index(index, path):
-    """Write the index as a magic/version/length-prefixed compressed document."""
+    """Write the target graph and build parameters as a magic/version/
+    length-prefixed compressed document."""
     g = index.graph
     kinds = g.schema.kinds
-    tables = []
-    for i, table in enumerate(index.null_model.tables):
-        rows = [[_encode_key(key), table[key]] for key in sorted(table)]
-        tables.append(rows)
     payload = {
         "directed": g.directed,
         "schema": {"names": list(g.schema.names), "kinds": list(kinds)},
@@ -313,19 +289,7 @@ def save_index(index, path):
         "node_features": [[_encode_feature_value(v, k) for v, k in zip(row, kinds)]
                           for row in g.node_features],
         "edges": [list(e) for e in g.edges],
-        "params": {"branching": index.params.branching,
-                   "leaf_threshold": index.params.leaf_threshold,
-                   "buckets": index.params.buckets,
-                   "bins": index.params.bins,
-                   "radius": index.params.radius},
-        "binner": [list(c) if c is not None else None
-                   for c in index.null_model.binner.cuts],
-        "null_model": {"floor": index.null_model.floor,
-                       "edge_count": index.null_model.edge_count,
-                       "tables": tables},
-        "assoc": [list(vec) for vec in index.assoc],
-        "summaries": [[list(row) for row in summary] for summary in index.summaries],
-        "tree": _encode_node(index.root),
+        "params": asdict(index.params),
     }
     blob = zlib.compress(json.dumps(payload, sort_keys=True,
                                     separators=(",", ":")).encode("utf-8"), 6)
@@ -336,11 +300,11 @@ def save_index(index, path):
 
 
 def load_index(path):
-    """Read an index file written by save_index.
+    """Read an index file written by save_index and rebuild the index.
 
     Raises IndexFileError for a file that is not a whole index: a bad header,
-    a corrupt or malformed payload, array lengths that differ from the edge
-    count, or a tree whose leaves do not hold each edge exactly once.
+    another format version, a corrupt or malformed payload, or a graph or
+    parameters that build_index rejects.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC) + 12)
@@ -358,53 +322,14 @@ def load_index(path):
         raise IndexFileError(f"{path}: corrupt payload ({exc})") from None
 
     try:
-        return _decode_index(payload)
+        kinds = payload["schema"]["kinds"]
+        schema = FeatureSchema(tuple(payload["schema"]["names"]), tuple(kinds))
+        feats = [tuple(_decode_feature_value(v, k) for v, k in zip(row, kinds))
+                 for row in payload["node_features"]]
+        g = Graph(payload["directed"], schema, feats,
+                  [tuple(e) for e in payload["edges"]], payload["node_ids"])
+        return build_index(g, **payload["params"])
     except KeyError as exc:
         raise IndexFileError(f"{path}: malformed payload (missing key {exc})") from None
     except (TypeError, ValueError, IndexError, RecursionError) as exc:
         raise IndexFileError(f"{path}: malformed payload ({exc})") from None
-
-
-def _decode_index(payload):
-    """EdgeIndex of a decompressed payload; ValueError when it breaks shape."""
-    schema = FeatureSchema(tuple(payload["schema"]["names"]),
-                           tuple(payload["schema"]["kinds"]))
-    kinds = schema.kinds
-    feats = [tuple(_decode_feature_value(v, k) for v, k in zip(row, kinds))
-             for row in payload["node_features"]]
-    g = Graph(payload["directed"], schema, feats,
-              [tuple(e) for e in payload["edges"]], payload["node_ids"])
-    p = payload["params"]
-    params = IndexParams(p["branching"], p["leaf_threshold"], p["buckets"],
-                         p["bins"], p["radius"])
-    binner = Binner([tuple(c) if c is not None else None for c in payload["binner"]])
-    nm_doc = payload["null_model"]
-    tables = tuple({_decode_key(key, kinds[i]): prob for key, prob in rows}
-                   for i, rows in enumerate(nm_doc["tables"]))
-    null_model = NullModel(binner, tables, nm_doc["floor"], nm_doc["edge_count"])
-    assoc = [tuple(vec) for vec in payload["assoc"]]
-    summaries = [tuple(tuple(row) for row in summary) for summary in payload["summaries"]]
-    root = _decode_node(payload["tree"])
-    m = g.n_edges
-    if len(assoc) != m or len(summaries) != m:
-        raise ValueError(f"association or summary count differs from the {m} edges")
-    d = len(schema)
-    if any(len(vec) != d for vec in assoc):
-        raise ValueError(f"association vector width differs from the {d} features")
-    if any(len(summary) != d or any(len(row) != params.buckets for row in summary)
-           for summary in summaries):
-        raise ValueError(f"summary shape differs from {d} features x "
-                         f"{params.buckets} buckets")
-    entries = []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if len(node.mbr.lo) != d or len(node.mbr.hi) != d:
-            raise ValueError(f"tree box width differs from the {d} features")
-        if node.is_leaf:
-            entries.extend(node.entries)
-        else:
-            stack.extend(node.children)
-    if sorted(entries) != list(range(m)):
-        raise ValueError("tree leaves do not hold each edge exactly once")
-    return EdgeIndex(g, params, null_model, assoc, summaries, root)

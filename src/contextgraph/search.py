@@ -410,10 +410,8 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
     def prune(kind, bound):
         audit.prunes.append((kind, bound, ans.least()))
 
-    params = index.params
     q_assoc = association_vectors(q)
-    q_summaries = [neighborhood_summary(q, e, params.buckets, params.radius, q_assoc)
-                   for e in range(m_q)]
+    q_summaries = neighborhood_summary(q, index.params.buckets, q_assoc)
     order_w = scorer.order_weights
     summaries = index.summaries
     t_assoc = index.assoc

@@ -349,7 +349,7 @@ def test_c08_tree_invariants():
 
 
 def test_c09_summary_regression():
-    s = neighborhood_summary(collab_query(), 0)
+    s = neighborhood_summary(collab_query())[0]
     ok = (s[0][9] == 2 and s[2][8] == 1 and s[2][9] == 1
           and s[0] == (0, 0, 0, 0, 0, 0, 0, 0, 0, 2)
           and s[1] == (2, 0, 0, 0, 0, 0, 0, 0, 0, 0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import contextgraph.cli as cg_cli
+import contextgraph.exemplar as cg_exemplar
 import contextgraph.search as cg_search
 from contextgraph.cli import main
 from contextgraph.graph import save_graph, save_schema
@@ -82,6 +83,16 @@ class TestBuildIndex:
         code = run(["build-index", "--index", tmp_path / "x.cgq"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("buckets", [0, -1])
+    def test_rejects_bucket_count_below_one(self, tmp_path, capsys, buckets):
+        paths, _, _ = write_instance(tmp_path)
+        code = run(["build-index", "--schema", paths["schema"], "--nodes",
+                    paths["nodes"], "--edges", paths["edges"],
+                    "--index", paths["index"], "--buckets", buckets])
+        assert code == 1
+        assert "error: buckets must be >= 1" in capsys.readouterr().err
+        assert not paths["index"].exists()
 
 
 class TestQuery:
@@ -282,6 +293,27 @@ class TestIntent:
         assert len(recs) > 1
         assert recs[1]["score"] == pytest.approx(q.n_edges)
 
+    def test_weights_learned_once(self, tmp_path, capsys, monkeypatch):
+        paths, _, q = write_instance(tmp_path, seed=7)
+        bij = tmp_path / "bij.tsv"
+        bij.write_text("".join(f"2\t{nid}\t{nid}\n" for nid in q.node_ids),
+                       encoding="utf-8")
+        calls = []
+
+        def counted(*args, _fn=cg_exemplar.weight_vector):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(cg_exemplar, "weight_vector", counted)
+        code = run(["intent", "--schema", paths["schema"], "--nodes",
+                    paths["nodes"], "--edges", paths["edges"],
+                    "--query-nodes", paths["query_nodes"],
+                    "--query-edges", paths["query_edges"],
+                    "--query-nodes", paths["query_nodes"],
+                    "--query-edges", paths["query_edges"], "--bijection", bij])
+        assert code == 0
+        assert len(calls) == 2
+
     def test_needs_two_exemplars(self, tmp_path, capsys):
         paths, _, _ = write_instance(tmp_path)
         code = run(["intent", "--schema", paths["schema"], "--nodes",
@@ -336,7 +368,7 @@ class TestStats:
         run(["build-index", "--schema", paths["schema"], "--nodes",
              paths["nodes"], "--edges", paths["edges"], "--index", paths["index"]])
         capsys.readouterr()
-        edit_index_payload(paths["index"], lambda doc: doc.pop("summaries"))
+        edit_index_payload(paths["index"], lambda doc: doc.pop("edges"))
         code = run(["stats", "--index", paths["index"]])
         assert code == 1
         assert "error:" in capsys.readouterr().err

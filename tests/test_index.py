@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from contextgraph.graph import CATEGORICAL_SET, FeatureSchema, Graph
+from contextgraph.graph import CATEGORICAL_SET, NUMERIC, FeatureSchema, Graph
 from contextgraph.index import (MBR, EdgeIndex, IndexFileError, bucket_index,
                                 build_index, construct_tree, load_index,
                                 mbr_of, mbr_similarity,
@@ -55,6 +55,11 @@ class TestBuckets:
     def test_single_bucket(self):
         assert bucket_index(0.0, 1) == 0
         assert bucket_index(1.0, 1) == 0
+
+    def test_array_matches_scalars(self):
+        values = [0.0, 0.05, 0.1, 0.1001, 0.55, 0.8, 0.9, 0.91, 1.0]
+        assert bucket_index(np.asarray(values), 10).tolist() == \
+            [bucket_index(v, 10) for v in values]
 
 
 def leaf_entries(node):
@@ -133,23 +138,62 @@ class TestTree:
 
 class TestSummaries:
     def test_triangle_histograms(self, collab_query):
-        s = neighborhood_summary(collab_query, 0)
+        s = neighborhood_summary(collab_query)[0]
         assert s[0] == (0, 0, 0, 0, 0, 0, 0, 0, 0, 2)
         assert s[1] == (2, 0, 0, 0, 0, 0, 0, 0, 0, 0)
         assert s[2] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 1)
 
     def test_counts_total_neighbors(self):
         g = random_graph(np.random.default_rng(5), 16, 30)
-        for e in range(g.n_edges):
-            s = neighborhood_summary(g, e)
+        for e, s in enumerate(neighborhood_summary(g)):
             deg = len(g.neighborhood_edges(e))
             for row in s:
                 assert sum(row) == deg
 
     def test_similarity_self_is_one(self, collab_query):
         w = (1 / 3, 1 / 3, 1 / 3)
-        s = neighborhood_summary(collab_query, 0)
+        s = neighborhood_summary(collab_query)[0]
         assert neighborhood_similarity(s, s, w) == pytest.approx(1.0)
+
+    @staticmethod
+    def reference(g, buckets=10):
+        """Histograms built edge by edge from neighborhood_edges."""
+        assoc = association_vectors(g)
+        out = []
+        for e in range(g.n_edges):
+            hist = [[0] * buckets for _ in g.schema.names]
+            for other in g.neighborhood_edges(e):
+                for i, x in enumerate(assoc[other]):
+                    hist[i][bucket_index(x, buckets)] += 1
+            out.append(tuple(tuple(row) for row in hist))
+        return out
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_equals_per_edge_histograms(self, directed):
+        rng = np.random.default_rng(21 + directed)
+        for _ in range(30):
+            n = int(rng.integers(3, 25))
+            m = int(rng.integers(1, n * (n - 1) // 2 + 1))
+            g = random_graph(rng, n, m, directed=directed)
+            if directed:
+                # add the reverse of about half the edges: explicit 2-cycles
+                edges = set(g.edges)
+                edges |= {(v, u) for u, v in g.edges if rng.random() < 0.5}
+                g = Graph(True, g.schema, g.node_features, sorted(edges))
+            buckets = int(rng.integers(1, 12))
+            summaries = neighborhood_summary(g, buckets)
+            assert summaries == self.reference(g, buckets)
+            assert all(type(c) is int for c in summaries[0][0])
+
+    def test_values_on_bucket_boundaries(self):
+        # gamma gives 1/10 == 0.1 and 9/10 == 0.9 exactly: buckets 0 and 8
+        g = Graph(False, FeatureSchema(("h",), (NUMERIC,)),
+                  [(10.0,), (1.0,), (9.0,), (0.0,), (10.0,)],
+                  [(0, 1), (0, 2), (2, 4), (1, 3), (0, 4)])
+        assert [vec[0] for vec in association_vectors(g)] == [0.1, 0.9, 0.9, 0.0, 1.0]
+        summaries = neighborhood_summary(g)
+        assert summaries == self.reference(g)
+        assert summaries[4] == ((1, 0, 0, 0, 0, 0, 0, 0, 2, 0),)
 
     def test_similarity_counts_covered_buckets(self):
         w = (1.0,)
@@ -233,13 +277,14 @@ class TestPersistence:
         with pytest.raises(IndexFileError, match="magic"):
             load_index(path)
 
-    def test_rejects_future_version(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_rejects_future_version(self, tmp_path, version):
         g = random_graph(np.random.default_rng(11), 10, 15)
         idx = build_index(g)
         path = tmp_path / "v.cgq"
         save_index(idx, path)
         raw = bytearray(path.read_bytes())
-        raw[4:8] = (99).to_bytes(4, "little")
+        raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(IndexFileError, match="version"):
             load_index(path)
@@ -271,8 +316,8 @@ class TestPersistence:
 
     def test_rejects_missing_key(self, tmp_path):
         path = self.saved(tmp_path)
-        edit_index_payload(path, lambda doc: doc.pop("summaries"))
-        with pytest.raises(IndexFileError, match="missing key 'summaries'"):
+        edit_index_payload(path, lambda doc: doc.pop("edges"))
+        with pytest.raises(IndexFileError, match="missing key 'edges'"):
             load_index(path)
 
     def test_rejects_wrongly_typed_payload(self, tmp_path):
@@ -287,34 +332,11 @@ class TestPersistence:
         with pytest.raises(IndexFileError, match="corrupt"):
             load_index(path)
 
-    def test_rejects_leaf_that_drops_an_edge(self, tmp_path):
-        def drop(doc):
-            node = doc["tree"]
-            while "entries" not in node:
-                node = node["children"][0]
-            node["entries"].pop()
-
+    @pytest.mark.parametrize("param, value", [("buckets", 0), ("branching", 1)])
+    def test_rejects_parameters_build_index_rejects(self, tmp_path, param, value):
         path = self.saved(tmp_path)
-        edit_index_payload(path, drop)
-        with pytest.raises(IndexFileError, match="each edge exactly once"):
-            load_index(path)
-
-    def test_rejects_array_length_mismatch(self, tmp_path):
-        path = self.saved(tmp_path)
-        edit_index_payload(path, lambda doc: doc["assoc"].pop())
-        with pytest.raises(IndexFileError, match="count differs"):
-            load_index(path)
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda doc: doc["assoc"][0].pop(), "association vector width"),
-        (lambda doc: doc["summaries"][0].pop(), "summary shape"),
-        (lambda doc: doc["summaries"][0][0].pop(), "summary shape"),
-        (lambda doc: doc["tree"]["lo"].pop(), "tree box width"),
-    ], ids=["assoc", "summary-rows", "summary-buckets", "tree-box"])
-    def test_rejects_wrong_width(self, tmp_path, edit, message):
-        path = self.saved(tmp_path)
-        edit_index_payload(path, edit)
-        with pytest.raises(IndexFileError, match=message):
+        edit_index_payload(path, lambda doc: doc["params"].update({param: value}))
+        with pytest.raises(IndexFileError, match=f"{param} must be >="):
             load_index(path)
 
     def test_set_values_survive_round_trip(self, tmp_path):
