@@ -1,25 +1,24 @@
 """Command line interface.
 
-Subcommands: build-index, query, range, oracle, intent, bench, stats.
+Subcommands: build-index, query, range, oracle, intent, stats.
 Results go to stdout as JSON-lines (default) or TSV; diagnostics go to
-stderr; the exit status is 0 exactly when the command succeeded.
+stderr; the exit status is 0 exactly when the command succeeded. The build
+options (--branching, --leaf-threshold, --buckets, --bins) apply only when
+the target is built from files: an --index file keeps the ones it was built
+with, so giving them together with --index is an error.
 """
 
 import argparse
 import json
-import statistics
 import sys
 import time
-
-import numpy as np
 
 from .context import weight_vector
 from .exemplar import ExemplarSet, hybrid_context, intent_topk, load_bijections
 from .graph import GraphLoadError, load_graph, load_schema
 from .index import IndexFileError, build_index, load_index, save_index
-from .search import (SearchParams, SearchTimeout, naive_range, naive_topk,
-                     range_search, topk_search)
-from .synth import grow_query
+from .search import (SearchParams, naive_range, naive_topk, range_search,
+                     topk_search)
 
 ORACLE_EDGE_CAP = 5000
 
@@ -68,16 +67,26 @@ def _add_target_args(p):
     p.add_argument("--index", help="prebuilt index file")
 
 
+# each defaults to None, so build_index's own default applies and an option
+# given together with --index can be told apart from one left out
+BUILD_OPTIONS = ("branching", "leaf_threshold", "buckets", "bins")
+
+
 def _add_build_args(p):
-    p.add_argument("--branching", type=int, default=4)
-    p.add_argument("--leaf-threshold", type=int, default=100)
-    p.add_argument("--buckets", type=int, default=10)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--branching", type=int)
+    p.add_argument("--leaf-threshold", type=int)
+    p.add_argument("--buckets", type=int)
+    p.add_argument("--bins", type=int)
+
+
+def _build_kwargs(args):
+    """The build_index keyword arguments given on the command line."""
+    return {name: getattr(args, name) for name in BUILD_OPTIONS
+            if getattr(args, name, None) is not None}
 
 
 def _add_search_args(p):
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--beam-width", type=int, default=50)
     p.add_argument("--scorer", choices=("contextual", "traditional"),
                    default="contextual")
 
@@ -98,13 +107,17 @@ def _resolve_index(args):
     if args.index and has_files:
         raise CliError("give either --index or --schema/--nodes/--edges, not both")
     if args.index:
+        given = _build_kwargs(args)
+        if given:
+            option = "--" + next(iter(given)).replace("_", "-")
+            raise CliError(f"{option} cannot be used with --index: an index "
+                           f"file keeps the options it was built with")
         return load_index(args.index)
     if not (args.schema and args.nodes and args.edges):
         raise CliError("need --index or all of --schema, --nodes, --edges")
     schema, directed = load_schema(args.schema)
     g = load_graph(args.nodes, args.edges, schema, directed)
-    return build_index(g, args.branching, args.leaf_threshold, args.buckets,
-                       args.bins)
+    return build_index(g, **_build_kwargs(args))
 
 
 def _null_model_doc(index):
@@ -145,8 +158,7 @@ def cmd_build_index(args):
     schema, directed = load_schema(args.schema)
     t0 = time.perf_counter()
     g = load_graph(args.nodes, args.edges, schema, directed)
-    index = build_index(g, args.branching, args.leaf_threshold, args.buckets,
-                        args.bins)
+    index = build_index(g, **_build_kwargs(args))
     built = time.perf_counter() - t0
     save_index(index, args.index)
     if args.dump_null_model:
@@ -163,7 +175,7 @@ def cmd_search(args):
     index = _resolve_index(args)
     g = index.graph
     q = _load_query(args.query_nodes, args.query_edges, g.schema, g.directed)
-    params = SearchParams(k=args.k, beam_width=args.beam_width, scorer=args.scorer)
+    params = SearchParams(k=args.k, scorer=args.scorer)
     weights = weight_vector(q, index.null_model)
     t0 = time.perf_counter()
     if args.command == "query":
@@ -174,9 +186,9 @@ def cmd_search(args):
         header = {"r": args.r, "matches": len(matches)}
     elapsed = time.perf_counter() - t0
     header.update({"record": "header", "command": args.command,
-                   "scorer": args.scorer, "beam_width": args.beam_width,
-                   "weights": list(weights), "query_nodes": q.n_nodes,
-                   "query_edges": q.n_edges, "seconds": elapsed})
+                   "scorer": args.scorer, "weights": list(weights),
+                   "query_nodes": q.n_nodes, "query_edges": q.n_edges,
+                   "seconds": elapsed})
     writer = _Writer(args.format)
     writer.emit(header)
     for rank, match in enumerate(matches, start=1):
@@ -199,13 +211,14 @@ def cmd_oracle(args):
                        f"refuses more than {ORACLE_EDGE_CAP} without --force")
     q = _load_query(args.query_nodes, args.query_edges, g.schema, g.directed)
     null_model = index.null_model if index is not None else None
+    options = _build_kwargs(args)
     t0 = time.perf_counter()
     if args.r is not None:
         matches = naive_range(q, g, args.r, scorer=args.scorer,
-                              null_model=null_model, bins=args.bins)
+                              null_model=null_model, **options)
     else:
         matches = naive_topk(q, g, args.k, scorer=args.scorer,
-                             null_model=null_model, bins=args.bins)
+                             null_model=null_model, **options)
     elapsed = time.perf_counter() - t0
     writer = _Writer(args.format)
     writer.emit({"record": "header", "command": "oracle", "k": args.k,
@@ -230,7 +243,7 @@ def cmd_intent(args):
                  for n, e in zip(args.query_nodes, args.query_edges)]
     bijections = load_bijections(args.bijection, exemplars)
     es = ExemplarSet(exemplars, bijections)
-    params = SearchParams(k=args.k, beam_width=args.beam_width)
+    params = SearchParams(k=args.k)
     use_filters = not args.no_filters
     hc = hybrid_context(es, index.null_model)
     t0 = time.perf_counter()
@@ -249,51 +262,6 @@ def cmd_intent(args):
     q = es.graphs[0]
     for rank, match in enumerate(matches, start=1):
         writer.emit(_match_record(match, rank, g, q))
-    return 0
-
-
-def cmd_bench(args):
-    index = _resolve_index(args)
-    g = index.graph
-    try:
-        sizes = [int(s) for s in args.sizes.split(",") if s != ""]
-    except ValueError:
-        raise CliError(f"bad --sizes {args.sizes!r}") from None
-    if not sizes or min(sizes) < 1:
-        raise CliError("--sizes needs positive integers")
-    params = SearchParams(k=args.k, beam_width=args.beam_width, scorer=args.scorer)
-    rng = np.random.default_rng(args.seed)
-    writer = _Writer(args.format)
-    writer.emit({"record": "header", "command": "bench", "sizes": sizes,
-                 "queries": args.queries, "k": args.k, "seed": args.seed,
-                 "beam_width": args.beam_width, "with_oracle": args.with_oracle})
-    for size in sizes:
-        queries = [grow_query(g, size, rng) for _ in range(args.queries)]
-        times = []
-        for q in queries:
-            t0 = time.perf_counter()
-            topk_search(q, index, params)
-            times.append(time.perf_counter() - t0)
-        row = {"record": "row", "size": size, "queries": len(queries),
-               "mean_s": statistics.fmean(times),
-               "median_s": statistics.median(times)}
-        if args.with_oracle:
-            oracle_times = []
-            capped = 0
-            for q in queries:
-                t0 = time.perf_counter()
-                try:
-                    naive_topk(q, g, args.k, null_model=index.null_model,
-                               deadline=time.monotonic() + args.oracle_budget)
-                    oracle_times.append(time.perf_counter() - t0)
-                except SearchTimeout:
-                    oracle_times.append(time.perf_counter() - t0)
-                    capped += 1
-            row["oracle_mean_s"] = statistics.fmean(oracle_times)
-            row["oracle_capped"] = capped
-            row["speedup"] = row["oracle_mean_s"] / row["mean_s"]
-            row["speedup_is_lower_bound"] = capped > 0
-        writer.emit(row)
     return 0
 
 
@@ -345,7 +313,7 @@ def build_parser():
     _add_target_args(p)
     _add_search_args(p)
     _add_format_arg(p)
-    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--bins", type=int)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--force", action="store_true",
                    help="run even on large targets")
@@ -358,7 +326,6 @@ def build_parser():
     _add_build_args(p)
     _add_format_arg(p)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--beam-width", type=int, default=50)
     p.add_argument("--query-nodes", action="append")
     p.add_argument("--query-edges", action="append")
     p.add_argument("--bijection")
@@ -368,19 +335,6 @@ def build_parser():
     p.add_argument("--no-filters", action="store_true",
                    help="score without exact-match/exact-relation filters")
     p.set_defaults(func=cmd_intent)
-
-    p = sub.add_parser("bench", help="latency benchmark over grown queries")
-    _add_target_args(p)
-    _add_build_args(p)
-    _add_search_args(p)
-    _add_format_arg(p)
-    p.add_argument("--sizes", default="4,6,8", help="comma-separated query sizes")
-    p.add_argument("--queries", type=int, default=30)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--with-oracle", action="store_true")
-    p.add_argument("--oracle-budget", type=float, default=10.0,
-                   help="seconds per oracle run before reporting a lower bound")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("stats", help="describe an index")
     _add_target_args(p)
@@ -402,9 +356,6 @@ def main(argv=None):
         return args.func(args)
     except (CliError, GraphLoadError, IndexFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SearchTimeout:
-        print("error: search exceeded its deadline", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -284,8 +284,8 @@ def intent_topk(es, index, params=None, weight_mode="individual",
     scorer = _ExemplarScorer(es, index, weight_mode, agg_mode, context)
     hc = scorer.hybrid
     em, er = (hc.exact_match, hc.exact_relation) if use_filters else ((), ())
-    return _search(es.graphs[0], index, scorer, params.beam_width, k=params.k,
-                   audit=audit, exact_match=em, exact_relation=er)
+    return _search(es.graphs[0], index, scorer, k=params.k, audit=audit,
+                   exact_match=em, exact_relation=er)
 
 
 def load_bijections(path, graphs):

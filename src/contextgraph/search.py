@@ -10,9 +10,9 @@ edge) seed and enumerate the universe exhaustively; they are the reference.
 topk_search / range_search answer exactly the same question through the edge
 index: query edges are taken in order of their similarity bound against the
 tree root (phase 1), the tree is descended best-first with bound-checked
-pruning (phase 2), and leaf entries are consumed in beam batches ordered by
-neighborhood similarity, each seed grown through a bound-ordered priority
-queue (phase 3). Growth prunes a child in two stages: first on a bound
+pruning (phase 2), and each leaf reached puts its entries, ordered by
+neighborhood similarity, as seeds into one bound-ordered growth queue
+(phase 3). Growth prunes a child in two stages: first on a bound
 estimated from its parent's score and the pair it adds, before the child is
 built or remembered, then on the bound of its canonical score. Every
 discarded state is covered by an upper bound that cannot beat the current
@@ -41,7 +41,6 @@ class SearchTimeout(Exception):
 @dataclass
 class SearchParams:
     k: int = 10
-    beam_width: int = 50
     scorer: str = "contextual"
 
 
@@ -369,7 +368,7 @@ def _growth_slack(m_q):
     return (m_q + 1) ** 2 * 2.0 ** -44
 
 
-def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
+def _search(q, index, scorer, k=None, r=None, audit=None,
             exact_match=(), exact_relation=()):
     """Shared three-phase engine; exactly one of k / r is set.
 
@@ -383,6 +382,10 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
                                  node assignments add to a state's score
       mbr_value(qe, mbr)         bound on qe's pair value under a tree box
       seed_bound(value)          best final score from a seed of that value
+    Each leaf the tree descent reaches puts every seed it holds for the
+    current query edge into one growth queue, in neighborhood-similarity
+    order, and grows that queue until its best bound cannot beat the answer
+    threshold.
     Growth prunes a child in two stages. The first bounds it from its parent
     alone, state_bound(parent score + pair_gain, ...) + _growth_slack(m_q),
     and drops it before its signature is built, remembered or scored; the
@@ -399,8 +402,6 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
     """
     g = index.graph
     _check_compatible(q, g)
-    if beam_width < 1:
-        raise ValueError("beam_width must be >= 1")
     m_q = q.n_edges
     if m_q == 0 or g.n_edges == 0:
         return []
@@ -479,8 +480,9 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
                 # raises the answer threshold and shrinks the frontier
                 heappush(pq, (-bound2, m_q - n2, next(tick), score2, nm2, sig2))
 
-    def handle_leaf(qe, node, leaf_value):
-        # order the leaf's entries once for this query edge, best first;
+    def handle_leaf(qe, node):
+        # order the leaf's entries for this query edge, best first, so that
+        # seeds of equal bound enter the growth queue in this order;
         # neighborhood similarity ties break toward edges whose endpoint
         # values equal the query edge's exactly, since those complete to
         # top-scoring mappings fastest and tighten the answer threshold
@@ -500,36 +502,27 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
                 not g.directed and fa == fv and fb == fu)
             scored.append((-ns, 0 if exact else 1, te))
         scored.sort()
-        pos = 0
-        while pos < len(scored):
-            bound = scorer.seed_bound(leaf_value)
-            if bound <= ans.floor():
-                if audit is not None:
-                    prune("leaf-remainder", bound)
-                return
-            batch = scored[pos:pos + beam_width]
-            pos += len(batch)
-            pq = []
-            for _, _, te in batch:
-                for ori in _seed_orientations(q, g, qe, te):
-                    if exact_match and any(
-                            q.node_features[qn][f] != g.node_features[tn][f]
-                            for qn, tn in ori for f in exact_match):
-                        continue
-                    nmap = dict(ori)
-                    sig = ((qe, te),)
-                    key = (sig, ori)
-                    if key in visited:
-                        continue
-                    visited.add(key)
-                    score = state_score(nmap, sig)
-                    bound = state_bound(score, 1, len(nmap))
-                    if bound <= ans.floor():
-                        if audit is not None:
-                            prune("seed", bound)
-                        continue
-                    heappush(pq, (-bound, m_q - 1, next(tick), score, nmap, sig))
-            grow(pq)
+        pq = []
+        for _, _, te in scored:
+            for ori in _seed_orientations(q, g, qe, te):
+                if exact_match and any(
+                        q.node_features[qn][f] != g.node_features[tn][f]
+                        for qn, tn in ori for f in exact_match):
+                    continue
+                nmap = dict(ori)
+                sig = ((qe, te),)
+                key = (sig, ori)
+                if key in visited:
+                    continue
+                visited.add(key)
+                score = state_score(nmap, sig)
+                bound = state_bound(score, 1, len(nmap))
+                if bound <= ans.floor():
+                    if audit is not None:
+                        prune("seed", bound)
+                    continue
+                heappush(pq, (-bound, m_q - 1, next(tick), score, nmap, sig))
+        grow(pq)
 
     root = index.root
     root_values = [scorer.mbr_value(e, root.mbr) for e in range(m_q)]
@@ -551,7 +544,7 @@ def _search(q, index, scorer, beam_width, k=None, r=None, audit=None,
                     prune("tree-node", bound)
                 break
             if node.is_leaf:
-                handle_leaf(qe, node, -negval)
+                handle_leaf(qe, node)
                 continue
             for child in node.children:
                 width = sum(h - l for l, h in zip(child.mbr.lo, child.mbr.hi))
@@ -581,7 +574,7 @@ def topk_search(q, index, params=None, weights=None, audit=None):
     if params.k < 1:
         raise ValueError("k must be >= 1")
     scorer = _build_scorer(q, index, params, weights)
-    return _search(q, index, scorer, params.beam_width, k=params.k, audit=audit)
+    return _search(q, index, scorer, k=params.k, audit=audit)
 
 
 def range_search(q, index, r, params=None, weights=None, audit=None):
@@ -591,4 +584,4 @@ def range_search(q, index, r, params=None, weights=None, audit=None):
     if not math.isfinite(r):
         raise ValueError("r must be finite")
     scorer = _build_scorer(q, index, params, weights)
-    return _search(q, index, scorer, params.beam_width, r=r, audit=audit)
+    return _search(q, index, scorer, r=r, audit=audit)

@@ -102,7 +102,6 @@ class ScoredMatch:
 
     mapping: Mapping
     score: float
-    maximal: bool = True
 
 
 def contextual_graph_similarity(m, q, g_t, weights, strict_zero=False):

@@ -1,6 +1,9 @@
 """Command line interface: subcommands, formats, exit codes."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,30 +327,6 @@ class TestIntent:
         assert "two" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_rows_with_oracle(self, tmp_path, capsys):
-        paths, _, _ = write_instance(tmp_path, seed=8)
-        code = run(["bench", "--schema", paths["schema"], "--nodes",
-                    paths["nodes"], "--edges", paths["edges"], "--sizes", "2,3",
-                    "--queries", "2", "--with-oracle", "--oracle-budget", "20"])
-        assert code == 0
-        recs = records(capsys)
-        assert recs[0]["record"] == "header"
-        rows = [r for r in recs if r["record"] == "row"]
-        assert [r["size"] for r in rows] == [2, 3]
-        for row in rows:
-            assert row["queries"] == 2
-            assert row["mean_s"] > 0
-            assert row["speedup"] > 0
-            assert row["oracle_capped"] == 0
-
-    def test_bad_sizes(self, tmp_path, capsys):
-        paths, _, _ = write_instance(tmp_path)
-        code = run(["bench", "--schema", paths["schema"], "--nodes",
-                    paths["nodes"], "--edges", paths["edges"], "--sizes", "a,b"])
-        assert code == 1
-
-
 class TestStats:
     def test_from_index(self, tmp_path, capsys):
         paths, g, _ = write_instance(tmp_path, seed=9)
@@ -379,3 +358,34 @@ class TestStats:
         code = run(["stats", "--index", bad])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("query", "--branching"), ("query", "--leaf-threshold"),
+    ("query", "--buckets"), ("query", "--bins"), ("oracle", "--bins")])
+def test_build_option_with_index_is_rejected(tmp_path, capsys, command, option):
+    # an index file rebuilds with the options it was saved with, so a build
+    # option next to --index would be silently ignored
+    paths, _, _ = write_instance(tmp_path)
+    run(["build-index", "--schema", paths["schema"], "--nodes",
+         paths["nodes"], "--edges", paths["edges"], "--index", paths["index"]])
+    capsys.readouterr()
+    code = run([command, "--index", paths["index"],
+                "--query-nodes", paths["query_nodes"],
+                "--query-edges", paths["query_edges"], option, 3])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {option} cannot be used with --index" in captured.err
+
+
+def test_documented_subcommands_match_parser():
+    parser = cg_cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    docstring = re.search(r"Subcommands: ([^.]+)\.", cg_cli.__doc__).group(1)
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    bullet = re.search(r"- \*\*CLI\.\*\* (.+?) subcommands;", readme, re.S).group(1)
+    assert set(docstring.split(", ")) == set(sub.choices)
+    assert set(re.findall(r"`([^`]+)`", bullet)) - {"contextgraph"} == \
+        set(sub.choices)

@@ -17,6 +17,7 @@ from contextgraph.search import (SearchAudit, SearchParams, SearchTimeout,
                                  _seed_orientations, enumerate_mcs,
                                  naive_range, naive_topk, range_search,
                                  topk_search)
+from contextgraph.synth import grow_query, random_graph
 from conftest import make_instance, shifted_exemplars
 
 CAT1 = FeatureSchema(("c",), (CATEGORICAL,))
@@ -213,15 +214,6 @@ class TestIndexedTopK:
             want = naive_topk(q, g, 5, scorer="traditional")
             assert [m.score for m in got] == [m.score for m in want]
 
-    def test_beam_width_changes_nothing(self):
-        rng = np.random.default_rng(12)
-        g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=4)
-        runs = [topk_search(q, idx, SearchParams(k=6, beam_width=bw))
-                for bw in (1, 3, 50)]
-        for other in runs[1:]:
-            assert [m.score for m in other] == [m.score for m in runs[0]]
-
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(13)
         g, q = make_instance(rng)
@@ -237,7 +229,6 @@ class TestIndexedTopK:
         idx = build_index(g, leaf_threshold=4)
         for m in topk_search(q, idx, SearchParams(k=10)):
             assert _extensions(q, g, m.mapping.node_map, m.mapping.edge_pairs) == []
-            assert m.maximal
 
     def test_explicit_weights_respected(self):
         rng = np.random.default_rng(15)
@@ -255,8 +246,6 @@ class TestIndexedTopK:
         with pytest.raises(ValueError):
             topk_search(q, idx, SearchParams(k=0))
         with pytest.raises(ValueError):
-            topk_search(q, idx, SearchParams(beam_width=0))
-        with pytest.raises(ValueError):
             topk_search(q, idx, SearchParams(scorer="psychic"))
 
 
@@ -267,7 +256,7 @@ class TestIndexedRange:
         idx = build_index(g, leaf_threshold=4)
         everything = naive_topk(q, g, 10 ** 9)
         r = everything[min(2, len(everything) - 1)].score
-        got = range_search(q, idx, r, SearchParams(beam_width=5))
+        got = range_search(q, idx, r)
         want = naive_range(q, g, r)
         assert [m.score for m in got] == [m.score for m in want]
         assert {m.mapping.signature() for m in got} == \
@@ -289,13 +278,48 @@ class TestIndexedRange:
             range_search(q, idx, float("inf"))
 
 
+class TestSingleLeaf:
+    """An index whose one leaf holds every edge: 80-200 seeds per leaf, more
+    than the small-leaf builds of the other tests ever put in one queue."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_naive(self, directed):
+        rng = np.random.default_rng(40 + directed)
+        for _ in range(3):
+            g = random_graph(rng, int(rng.integers(30, 41)),
+                             int(rng.integers(80, 201)), directed=directed)
+            q = grow_query(g, 3, rng)
+            idx = build_index(g, leaf_threshold=g.n_edges + 1)
+            assert idx.root.is_leaf
+            ranked = {scorer: naive_topk(q, g, 10 ** 9, scorer=scorer)
+                      for scorer in ("contextual", "traditional")}
+            for scorer, everything in ranked.items():
+                for k in (1, 3, 10):
+                    got = topk_search(q, idx, SearchParams(k=k, scorer=scorer))
+                    assert [m.score for m in got] == \
+                        [m.score for m in everything[:k]]
+            r = ranked["contextual"][min(5, len(ranked["contextual"]) - 1)].score
+            got = range_search(q, idx, r)
+            assert {m.mapping.signature() for m in got} == \
+                {m.mapping.signature() for m in naive_range(q, g, r)}
+            audits = [SearchAudit() for _ in range(3)]
+            topk_search(q, idx, SearchParams(k=3), audit=audits[0])
+            range_search(q, idx, r, audit=audits[1])
+            intent_topk(shifted_exemplars(q), idx, SearchParams(k=3),
+                        audit=audits[2])
+            for audit in audits:
+                assert audit.expanded > 0
+                assert all(bound <= threshold
+                           for _, bound, threshold in audit.prunes)
+
+
 class TestAudit:
     def test_prunes_never_cut_reachable_scores(self):
         rng = np.random.default_rng(20)
         g, q = make_instance(rng)
         idx = build_index(g, leaf_threshold=3)
         audit = SearchAudit()
-        topk_search(q, idx, SearchParams(k=3, beam_width=2), audit=audit)
+        topk_search(q, idx, SearchParams(k=3), audit=audit)
         assert audit.expanded > 0
         assert audit.offers > 0
         for kind, bound, threshold in audit.prunes:
@@ -306,8 +330,7 @@ class TestAudit:
         g, q = make_instance(rng)
         idx = build_index(g, leaf_threshold=3)
         audit = SearchAudit()
-        intent_topk(shifted_exemplars(q), idx, SearchParams(k=3, beam_width=2),
-                    audit=audit)
+        intent_topk(shifted_exemplars(q), idx, SearchParams(k=3), audit=audit)
         assert audit.expanded > 0
         assert audit.offers > 0
         for kind, bound, threshold in audit.prunes:
@@ -319,7 +342,7 @@ class TestAudit:
         idx = build_index(g, leaf_threshold=3)
         audit = SearchAudit()
         r = 1.5
-        range_search(q, idx, r, SearchParams(beam_width=2), audit=audit)
+        range_search(q, idx, r, audit=audit)
         for kind, bound, threshold in audit.prunes:
             assert bound < threshold
 
