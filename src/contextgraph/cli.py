@@ -176,7 +176,9 @@ def cmd_search(args):
     g = index.graph
     q = _load_query(args.query_nodes, args.query_edges, g.schema, g.directed)
     params = SearchParams(k=args.k, scorer=args.scorer)
-    weights = weight_vector(q, index.null_model)
+    # the traditional scorer uses no context weights
+    weights = (weight_vector(q, index.null_model)
+               if args.scorer == "contextual" else None)
     t0 = time.perf_counter()
     if args.command == "query":
         matches = topk_search(q, index, params, weights)
@@ -186,7 +188,8 @@ def cmd_search(args):
         header = {"r": args.r, "matches": len(matches)}
     elapsed = time.perf_counter() - t0
     header.update({"record": "header", "command": args.command,
-                   "scorer": args.scorer, "weights": list(weights),
+                   "scorer": args.scorer,
+                   "weights": None if weights is None else list(weights),
                    "query_nodes": q.n_nodes, "query_edges": q.n_edges,
                    "seconds": elapsed})
     writer = _Writer(args.format)

@@ -12,11 +12,13 @@ index: query edges are taken in order of their similarity bound against the
 tree root (phase 1), the tree is descended best-first with bound-checked
 pruning (phase 2), and each leaf reached puts its entries, ordered by
 neighborhood similarity, as seeds into one bound-ordered growth queue
-(phase 3). Growth prunes a child in two stages: first on a bound
-estimated from its parent's score and the pair it adds, before the child is
-built or remembered, then on the bound of its canonical score. Every
-discarded state is covered by an upper bound that cannot beat the current
-answer threshold, so the returned score multiset equals the naive one.
+(phase 3). A leaf entry whose pair value alone cannot beat the answer
+threshold is dropped before it is ordered. Growth prunes a child in two
+stages: first on a bound estimated from its parent's score and the pair it
+adds, before the child is built or remembered, then on the bound of its
+canonical score. Every discarded state is covered by an upper bound that
+cannot beat the current answer threshold, so the returned score multiset
+equals the naive one.
 """
 
 import math
@@ -49,7 +51,9 @@ class SearchAudit:
 
     Every pruned state is recorded with its bound and the answer threshold at
     the time of the prune; bound <= threshold for each entry certifies that no
-    prune could have removed a result that belongs in the answer set.
+    prune could have removed a result that belongs in the answer set. A
+    "seed" prune counts once per leaf entry dropped on its pair bound, and
+    once per seed orientation dropped after it was scored.
     """
 
     def __init__(self):
@@ -213,12 +217,18 @@ class _ContextualScorer:
         self.order_weights = self.weights
         self.q_assoc = association_vectors(q)
         self.t_assoc = index.assoc
+        self.t_class = index.assoc_class
         self.m_q = q.n_edges
         self._cs = {}
+        self._class_cs = {}
 
     def _pair_value(self, pair):
-        cs = edge_similarity(self.q_assoc[pair[0]], self.t_assoc[pair[1]],
-                             self.weights)
+        qe, te = pair
+        key = (qe, self.t_class[te])
+        cs = self._class_cs.get(key)
+        if cs is None:
+            cs = edge_similarity(self.q_assoc[qe], self.t_assoc[te], self.weights)
+            self._class_cs[key] = cs
         self._cs[pair] = cs
         return cs
 
@@ -385,7 +395,13 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     Each leaf the tree descent reaches puts every seed it holds for the
     current query edge into one growth queue, in neighborhood-similarity
     order, and grows that queue until its best bound cannot beat the answer
-    threshold.
+    threshold. Before ordering, a leaf entry te is dropped, as one seed
+    prune, when seed_bound(pair_gain(qe, te, ())) is at most the threshold:
+    that bound is at least the state bound of each of its seed orientations,
+    so none of them could have entered the queue. The entries that remain
+    are ordered, oriented and scored as before, and each orientation is cut
+    on its own state bound, so the queue receives the same seeds in the same
+    order.
     Growth prunes a child in two stages. The first bounds it from its parent
     alone, state_bound(parent score + pair_gain, ...) + _growth_slack(m_q),
     and drops it before its signature is built, remembered or scored; the
@@ -419,6 +435,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     state_score = scorer.state_score
     state_bound = scorer.state_bound
     pair_gain = scorer.pair_gain
+    seed_bound = scorer.seed_bound
     slack = _growth_slack(m_q)
 
     visited = set()
@@ -481,11 +498,15 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                 heappush(pq, (-bound2, m_q - n2, next(tick), score2, nm2, sig2))
 
     def handle_leaf(qe, node):
-        # order the leaf's entries for this query edge, best first, so that
-        # seeds of equal bound enter the growth queue in this order;
-        # neighborhood similarity ties break toward edges whose endpoint
-        # values equal the query edge's exactly, since those complete to
-        # top-scoring mappings fastest and tighten the answer threshold
+        # an entry whose pair value alone cannot beat the answer threshold
+        # is dropped first, before it is ordered or oriented; answers are
+        # offered only in grow, so the floor stays put while the leaf's seeds
+        # are gathered. The rest are ordered best first, so that seeds of
+        # equal bound enter the growth queue in this order; neighborhood
+        # similarity ties break toward edges whose endpoint values equal the
+        # query edge's exactly, since those complete to top-scoring mappings
+        # fastest and tighten the answer threshold
+        floor = ans.floor()
         qu, qv = q.edges[qe]
         fu = q.node_features[qu]
         fv = q.node_features[qv]
@@ -493,6 +514,11 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         scored = []
         for te in node.entries:
             if exact_relation and any(s_q[f] != t_assoc[te][f] for f in exact_relation):
+                continue
+            bound = seed_bound(pair_gain(qe, te, ()))
+            if bound <= floor:
+                if audit is not None:
+                    prune("seed", bound)
                 continue
             ns = neighborhood_similarity(q_summaries[qe], summaries[te], order_w)
             a, b = g.edges[te]
@@ -517,7 +543,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                 visited.add(key)
                 score = state_score(nmap, sig)
                 bound = state_bound(score, 1, len(nmap))
-                if bound <= ans.floor():
+                if bound <= floor:
                     if audit is not None:
                         prune("seed", bound)
                     continue
@@ -527,7 +553,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     root = index.root
     root_values = [scorer.mbr_value(e, root.mbr) for e in range(m_q)]
     for qe in sorted(range(m_q), key=lambda e: (-root_values[e], e)):
-        bound = scorer.seed_bound(root_values[qe])
+        bound = seed_bound(root_values[qe])
         if bound <= ans.floor():
             if audit is not None:
                 prune("query-edge", bound)
@@ -538,7 +564,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         cands = [(-root_values[qe], root_w, next(tick), root)]
         while cands:
             negval, _, _, node = heappop(cands)
-            bound = scorer.seed_bound(-negval)
+            bound = seed_bound(-negval)
             if bound <= ans.floor():
                 if audit is not None:
                     prune("tree-node", bound)

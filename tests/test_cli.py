@@ -223,20 +223,42 @@ class TestOracle:
         assert len(records(capsys)) == 4
 
 
-@pytest.mark.parametrize("command, extra", [("query", []), ("range", ["--r", 1.5])])
-def test_weights_computed_once(tmp_path, capsys, monkeypatch, command, extra):
-    paths, _, _ = write_instance(tmp_path, seed=5)
+def count_weight_calls(monkeypatch):
+    """Record every weight_vector call the CLI and the engine make."""
     calls = []
     for module in (cg_cli, cg_search):
         def counted(*args, _fn=module.weight_vector, _where=module.__name__):
             calls.append(_where)
             return _fn(*args)
         monkeypatch.setattr(module, "weight_vector", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, extra", [("query", []), ("range", ["--r", 1.5])])
+def test_weights_computed_once(tmp_path, capsys, monkeypatch, command, extra):
+    paths, _, _ = write_instance(tmp_path, seed=5)
+    calls = count_weight_calls(monkeypatch)
     code = run([command, "--schema", paths["schema"], "--nodes", paths["nodes"],
                 "--edges", paths["edges"], "--query-nodes", paths["query_nodes"],
                 "--query-edges", paths["query_edges"], *extra])
     assert code == 0
     assert len(calls) == 1, calls
+
+
+@pytest.mark.parametrize("command, extra", [("query", []), ("range", ["--r", 1.5])])
+def test_traditional_learns_no_weights(tmp_path, capsys, monkeypatch, command,
+                                       extra):
+    paths, _, _ = write_instance(tmp_path, seed=5)
+    calls = count_weight_calls(monkeypatch)
+    code = run([command, "--schema", paths["schema"], "--nodes", paths["nodes"],
+                "--edges", paths["edges"], "--query-nodes", paths["query_nodes"],
+                "--query-edges", paths["query_edges"], "--scorer", "traditional",
+                *extra])
+    assert code == 0
+    assert calls == []
+    header = records(capsys)[0]
+    assert header["scorer"] == "traditional"
+    assert header["weights"] is None
 
 
 class TestRange:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contextgraph.search as cg_search
 from contextgraph.context import weight_vector
 from contextgraph.exemplar import _ExemplarScorer, intent_topk
 from contextgraph.graph import CATEGORICAL, FeatureSchema, Graph
@@ -17,7 +18,8 @@ from contextgraph.search import (SearchAudit, SearchParams, SearchTimeout,
                                  _seed_orientations, enumerate_mcs,
                                  naive_range, naive_topk, range_search,
                                  topk_search)
-from contextgraph.synth import grow_query, random_graph
+from contextgraph.similarity import association_vectors, edge_similarity
+from contextgraph.synth import grow_query, random_graph, spatial_graph
 from conftest import make_instance, shifted_exemplars
 
 CAT1 = FeatureSchema(("c",), (CATEGORICAL,))
@@ -416,3 +418,90 @@ class TestGrowthPrefilter:
         topk_search(q, idx, SearchParams(k=3), audit=audit)
         growth = sum(kind == "growth" for kind, _, _ in audit.prunes)
         assert len(calls) < growth
+
+
+class TestSeedPairBound:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["contextual", "traditional", "min", "mean"]),
+           query_edges=st.integers(2, 4))
+    def test_pair_bound_covers_every_orientation(self, seed, kind, query_edges):
+        # a leaf entry is dropped on seed_bound(pair_gain) before any of its
+        # orientations is scored, so that bound must be at least the bound
+        # of every orientation; a contextual seed reaches it exactly
+        rng = np.random.default_rng(seed)
+        g, q = make_instance(rng, max_nodes=12, query_edges=query_edges)
+        scorer = make_scorer(kind, q, build_index(g, leaf_threshold=3))
+        for qe in range(q.n_edges):
+            for te in range(g.n_edges):
+                pair_bound = scorer.seed_bound(scorer.pair_gain(qe, te, ()))
+                for ori in _seed_orientations(q, g, qe, te):
+                    sig = ((qe, te),)
+                    seed_bound = scorer.state_bound(
+                        scorer.state_score(dict(ori), sig), 1, 2)
+                    if kind == "contextual":
+                        assert seed_bound == pair_bound
+                    else:
+                        assert seed_bound <= pair_bound
+
+    def test_dropped_entries_are_not_ordered(self, monkeypatch):
+        # under a range threshold the floor never moves, so every entry
+        # whose pair bound falls below r is dropped before neighborhood
+        # similarity orders the leaf: no call may see such an entry
+        g = spatial_graph(120, 400, seed=3, replicas=4)
+        idx = build_index(g, leaf_threshold=20)
+        q = grow_query(g, 3, np.random.default_rng(36))
+        w = weight_vector(q, idx.null_model)
+        r = q.n_edges - 0.1
+        q_summaries = []
+        seen = []
+
+        def summary(*args, _fn=cg_search.neighborhood_summary):
+            q_summaries.extend(_fn(*args))
+            return q_summaries
+
+        def nsim(s_q, s_t, weights, _fn=cg_search.neighborhood_similarity):
+            seen.append((s_q, s_t))
+            return _fn(s_q, s_t, weights)
+
+        monkeypatch.setattr(cg_search, "neighborhood_summary", summary)
+        monkeypatch.setattr(cg_search, "neighborhood_similarity", nsim)
+        audit = SearchAudit()
+        range_search(q, idx, r, weights=w, audit=audit)
+        assert seen
+        assert any(kind == "seed" for kind, _, _ in audit.prunes)
+        qe_of = {id(s): qe for qe, s in enumerate(q_summaries)}
+        te_of = {id(s): te for te, s in enumerate(idx.summaries)}
+        q_assoc = association_vectors(q)
+        for s_q, s_t in seen:
+            qe, te = qe_of[id(s_q)], te_of[id(s_t)]
+            cs = edge_similarity(q_assoc[qe], idx.assoc[te], w)
+            assert cs + (q.n_edges - 1) >= r
+
+
+class TestPairValuesByClass:
+    @pytest.mark.parametrize("kind", ["contextual", "min", "mean"])
+    def test_equal_direct_edge_similarity(self, kind):
+        # a replicated graph repeats its association vectors, so pairs share
+        # cached values across edges of one class; every value must be the
+        # float edge_similarity gives for that very pair
+        g = spatial_graph(120, 400, seed=3, replicas=4)
+        idx = build_index(g, leaf_threshold=20)
+        rng = np.random.default_rng(38)
+        q = grow_query(g, 4, rng)
+        scorer = make_scorer(kind, q, idx)
+        if kind == "contextual":
+            q_assoc, per = [association_vectors(q)], [scorer.weights]
+        else:
+            q_assoc, per = scorer.q_assoc, scorer.per_weights
+        pairs = [(qe, te) for qe in range(q.n_edges) for te in range(g.n_edges)]
+        rng.shuffle(pairs)
+        for qe, te in pairs:
+            want = [edge_similarity(qa[qe], idx.assoc[te], w).hex()
+                    for qa, w in zip(q_assoc, per)]
+            if kind == "contextual":
+                got = [scorer.pair_gain(qe, te, ()).hex()]
+            else:
+                got = [x.hex() for x in scorer._pair_vector((qe, te))]
+            assert got == want
+        assert len(scorer._class_cs) < len(pairs)
