@@ -98,15 +98,13 @@ def averaged_weights(weight_list):
 
 
 def exemplar_similarity(m, es, g_t, nm, weight_mode="individual",
-                        agg_mode="min", strict_zero=False, per_weights=None):
+                        agg_mode="min", strict_zero=False):
     """Aggregate contextual similarity of one mapping across all exemplars.
 
     weight_mode selects per-exemplar weights or their average; agg_mode
-    selects min (every exemplar must be matched well) or mean. per_weights
-    are the per-exemplar weights under nm when the caller already has them,
-    such as HybridContext.per_weights; otherwise they are learned here.
+    selects min (every exemplar must be matched well) or mean.
     """
-    per = exemplar_weights(es, nm) if per_weights is None else per_weights
+    per = exemplar_weights(es, nm)
     if weight_mode == "averaged":
         shared = averaged_weights(per)
         per = [shared] * len(es)
@@ -224,10 +222,8 @@ class _ExemplarScorer:
         self.q_assoc = [[assoc[e] for e in emap] for assoc, emap in
                         zip(map(association_vectors, es.graphs), es.edge_maps)]
         self.t_assoc = index.assoc
-        self.t_class = index.assoc_class
         self.m_q = es.graphs[0].n_edges
         self._cs = {}
-        self._class_cs = {}
 
     def _agg(self, values):
         if self.agg_min:
@@ -236,13 +232,9 @@ class _ExemplarScorer:
 
     def _pair_vector(self, pair):
         qe, te = pair
-        key = (qe, self.t_class[te])
-        vec = self._class_cs.get(key)
-        if vec is None:
-            vec = tuple(edge_similarity(self.q_assoc[i][qe], self.t_assoc[te],
-                                        self.per_weights[i])
-                        for i in range(self.u))
-            self._class_cs[key] = vec
+        vec = tuple(edge_similarity(self.q_assoc[i][qe], self.t_assoc[te],
+                                    self.per_weights[i])
+                    for i in range(self.u))
         self._cs[pair] = vec
         return vec
 

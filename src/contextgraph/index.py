@@ -5,16 +5,14 @@ association dimension; every node keeps the minimum bounding rectangle (MBR)
 of its edges' association vectors, so the best edge similarity under a node
 can be bounded without visiting it. The index also keeps per-edge
 neighborhood summaries, bucketed histograms of the association values around
-an edge, used to order seed candidates, and numbers each edge by the class of
-its association vector among the distinct ones, so that a search computes an
-edge similarity once per class.
+an edge, used to order seed candidates.
 
 Index files start with the magic bytes CGQ1, a format version, and a length
 prefix; the payload is a compressed JSON document holding only the target
 graph and the build parameters. Everything else is derived from those, so
 load_index rebuilds the index, which yields the same null model, vectors,
-classes, summaries and tree as the saved one. Files of format version 1,
-which also stored the derived data, are rejected.
+summaries and tree as the saved one. Files of format version 1, which also
+stored the derived data, are rejected.
 """
 
 import json
@@ -220,21 +218,13 @@ class IndexParams:
 
 
 class EdgeIndex:
-    """Searchable bundle: target graph, null model, association data, tree.
-
-    assoc_class[e] numbers edge e's association vector among the distinct
-    vectors, in order of first appearance, so edges with equal vectors share
-    an id. Edges of one class have equal edge similarity to any query edge,
-    so a search computes that value once per class.
-    """
+    """Searchable bundle: target graph, null model, association data, tree."""
 
     def __init__(self, graph, params, null_model, assoc, summaries, root):
         self.graph = graph
         self.params = params
         self.null_model = null_model
         self.assoc = assoc
-        classes = {}
-        self.assoc_class = [classes.setdefault(vec, len(classes)) for vec in assoc]
         self.summaries = summaries
         self.root = root
 

@@ -217,18 +217,12 @@ class _ContextualScorer:
         self.order_weights = self.weights
         self.q_assoc = association_vectors(q)
         self.t_assoc = index.assoc
-        self.t_class = index.assoc_class
         self.m_q = q.n_edges
         self._cs = {}
-        self._class_cs = {}
 
     def _pair_value(self, pair):
-        qe, te = pair
-        key = (qe, self.t_class[te])
-        cs = self._class_cs.get(key)
-        if cs is None:
-            cs = edge_similarity(self.q_assoc[qe], self.t_assoc[te], self.weights)
-            self._class_cs[key] = cs
+        cs = edge_similarity(self.q_assoc[pair[0]], self.t_assoc[pair[1]],
+                             self.weights)
         self._cs[pair] = cs
         return cs
 

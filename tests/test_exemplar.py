@@ -175,29 +175,6 @@ class TestExemplarSimilarity:
             hi = exemplar_similarity(m, es, collab_target, nm, wm, "mean")
             assert lo <= hi + 1e-12
 
-    def test_given_weights_are_not_relearned(self, collab_query, collab_target,
-                                             monkeypatch):
-        es = collab_pair(collab_query, collab_target)
-        nm = estimate_null_model(collab_target)
-        m = Mapping({0: 0, 1: 1, 2: 2}, {(0, 0), (1, 1), (2, 2)})
-        per = exemplar_weights(es, nm)
-        calls = []
-
-        def counted(*args, _fn=cg_exemplar.weight_vector):
-            calls.append(args)
-            return _fn(*args)
-
-        monkeypatch.setattr(cg_exemplar, "weight_vector", counted)
-        for wm in ("individual", "averaged"):
-            for am in ("min", "mean"):
-                calls.clear()
-                given = exemplar_similarity(m, es, collab_target, nm, wm, am,
-                                            per_weights=per)
-                assert calls == []
-                learned = exemplar_similarity(m, es, collab_target, nm, wm, am)
-                assert len(calls) == len(es)
-                assert given == learned
-
 
 ORG_SCHEMA = FeatureSchema(("org", "area", "years"),
                            (CATEGORICAL, CATEGORICAL, NUMERIC))

@@ -10,7 +10,7 @@ from contextgraph.index import (MBR, EdgeIndex, IndexFileError, bucket_index,
                                 neighborhood_similarity, neighborhood_summary,
                                 save_index)
 from contextgraph.similarity import association_vectors, edge_similarity
-from contextgraph.synth import random_graph, spatial_graph
+from contextgraph.synth import random_graph
 from conftest import edit_index_payload, write_index_payload
 
 
@@ -237,20 +237,6 @@ class TestBuildIndex:
         idx = build_index(g)
         assert len(idx.summaries) == g.n_edges
         assert len(idx.assoc) == g.n_edges
-
-    def test_equal_vectors_share_a_class(self, tmp_path):
-        g = spatial_graph(120, 400, seed=3, replicas=4)
-        idx = build_index(g, leaf_threshold=20)
-        classes = idx.assoc_class
-        assert len(classes) == g.n_edges
-        assert sorted(set(classes)) == list(range(len(set(idx.assoc))))
-        assert len(set(classes)) < g.n_edges
-        for e in range(g.n_edges):
-            for f in range(e):
-                assert (classes[e] == classes[f]) == (idx.assoc[e] == idx.assoc[f])
-        path = tmp_path / "g.cgq"
-        save_index(idx, path)
-        assert load_index(path).assoc_class == classes
 
 
 class TestPersistence:

@@ -453,55 +453,25 @@ class TestSeedPairBound:
         q = grow_query(g, 3, np.random.default_rng(36))
         w = weight_vector(q, idx.null_model)
         r = q.n_edges - 0.1
-        q_summaries = []
         seen = []
 
+        # each summary travels tagged with its edge, so a call names the
+        # very (query edge, target edge) pair it orders
         def summary(*args, _fn=cg_search.neighborhood_summary):
-            q_summaries.extend(_fn(*args))
-            return q_summaries
+            return list(enumerate(_fn(*args)))
 
         def nsim(s_q, s_t, weights, _fn=cg_search.neighborhood_similarity):
-            seen.append((s_q, s_t))
-            return _fn(s_q, s_t, weights)
+            seen.append((s_q[0], s_t[0]))
+            return _fn(s_q[1], s_t[1], weights)
 
         monkeypatch.setattr(cg_search, "neighborhood_summary", summary)
         monkeypatch.setattr(cg_search, "neighborhood_similarity", nsim)
+        monkeypatch.setattr(idx, "summaries", list(enumerate(idx.summaries)))
         audit = SearchAudit()
         range_search(q, idx, r, weights=w, audit=audit)
         assert seen
         assert any(kind == "seed" for kind, _, _ in audit.prunes)
-        qe_of = {id(s): qe for qe, s in enumerate(q_summaries)}
-        te_of = {id(s): te for te, s in enumerate(idx.summaries)}
         q_assoc = association_vectors(q)
-        for s_q, s_t in seen:
-            qe, te = qe_of[id(s_q)], te_of[id(s_t)]
+        for qe, te in seen:
             cs = edge_similarity(q_assoc[qe], idx.assoc[te], w)
             assert cs + (q.n_edges - 1) >= r
-
-
-class TestPairValuesByClass:
-    @pytest.mark.parametrize("kind", ["contextual", "min", "mean"])
-    def test_equal_direct_edge_similarity(self, kind):
-        # a replicated graph repeats its association vectors, so pairs share
-        # cached values across edges of one class; every value must be the
-        # float edge_similarity gives for that very pair
-        g = spatial_graph(120, 400, seed=3, replicas=4)
-        idx = build_index(g, leaf_threshold=20)
-        rng = np.random.default_rng(38)
-        q = grow_query(g, 4, rng)
-        scorer = make_scorer(kind, q, idx)
-        if kind == "contextual":
-            q_assoc, per = [association_vectors(q)], [scorer.weights]
-        else:
-            q_assoc, per = scorer.q_assoc, scorer.per_weights
-        pairs = [(qe, te) for qe in range(q.n_edges) for te in range(g.n_edges)]
-        rng.shuffle(pairs)
-        for qe, te in pairs:
-            want = [edge_similarity(qa[qe], idx.assoc[te], w).hex()
-                    for qa, w in zip(q_assoc, per)]
-            if kind == "contextual":
-                got = [scorer.pair_gain(qe, te, ()).hex()]
-            else:
-                got = [x.hex() for x in scorer._pair_vector((qe, te))]
-            assert got == want
-        assert len(scorer._class_cs) < len(pairs)
