@@ -5,7 +5,8 @@ association dimension; every node keeps the minimum bounding rectangle (MBR)
 of its edges' association vectors, so the best edge similarity under a node
 can be bounded without visiting it. The index also keeps per-edge
 neighborhood summaries, bucketed histograms of the association values around
-an edge, used to order seed candidates.
+an edge, used to order seed candidates; they are one int32 array of shape
+(m, d, buckets), row e being edge e's summary.
 
 Index files start with the magic bytes CGQ1, a format version, and a length
 prefix; the payload is a compressed JSON document holding only the target
@@ -43,18 +44,15 @@ class MBR:
 
 
 def mbr_of(vectors):
-    """Tight componentwise min/max box of one or more vectors."""
-    it = iter(vectors)
-    first = next(it)
-    lo = list(first)
-    hi = list(first)
-    for vec in it:
-        for i, x in enumerate(vec):
-            if x < lo[i]:
-                lo[i] = x
-            elif x > hi[i]:
-                hi[i] = x
-    return MBR(tuple(lo), tuple(hi))
+    """Tight componentwise min/max box of one or more vectors.
+
+    Takes a sequence of equal-length vectors or an (n, d) array; the faces are
+    tuples of Python floats. Raises ValueError when there is no vector.
+    """
+    arr = np.asarray(vectors, dtype=float)
+    if len(arr) == 0:
+        raise ValueError("mbr_of needs at least one vector")
+    return MBR(tuple(arr.min(axis=0).tolist()), tuple(arr.max(axis=0).tolist()))
 
 
 def mbr_similarity(s_q, weights, mbr):
@@ -120,19 +118,26 @@ def construct_tree(assoc, edge_ids, branching=4, leaf_threshold=100):
     ties), orders edges by (value, edge id), and hands floor(m/children) edges
     to each child with the remainder on the last. A node becomes a leaf when
     it holds fewer than leaf_threshold edges or a single distinct vector.
+    Every pass works on index arrays into one (m, d) array of the vectors.
+    Raises ValueError when edge_ids is empty.
     """
     if branching < 2:
         raise ValueError("branching must be >= 2")
     if leaf_threshold < 1:
         raise ValueError("leaf_threshold must be >= 1")
 
+    ids = np.asarray(edge_ids, dtype=np.intp)
+    if len(ids) == 0:
+        raise ValueError("construct_tree needs at least one edge")
+    vecs = np.asarray(assoc, dtype=float)
+
     def build(ids):
-        box = mbr_of(assoc[e] for e in ids)
+        rows = vecs[ids]
+        box = mbr_of(rows)
         if len(ids) < leaf_threshold or box.lo == box.hi:
-            return TreeNode(box, entries=tuple(ids))
-        var = np.asarray([assoc[e] for e in ids]).var(axis=0)
-        dim = int(np.argmax(var))
-        order = sorted(ids, key=lambda e: (assoc[e][dim], e))
+            return TreeNode(box, entries=tuple(ids.tolist()))
+        dim = int(np.argmax(rows.var(axis=0)))
+        order = ids[np.lexsort((ids, rows[:, dim]))]
         fanout = min(branching, len(ids))
         chunk = len(ids) // fanout
         children = []
@@ -142,7 +147,7 @@ def construct_tree(assoc, edge_ids, branching=4, leaf_threshold=100):
             children.append(build(order[start:stop]))
         return TreeNode(box, children=tuple(children))
 
-    return build(list(edge_ids))
+    return build(ids)
 
 
 def bucket_index(values, buckets):
@@ -159,11 +164,12 @@ def bucket_index(values, buckets):
 def neighborhood_summary(g, buckets=10, assoc=None):
     """Per-edge, per-feature histograms of association values on the adjacent edges.
 
-    Returns one summary per edge id: d rows of bucket counts over the edges
-    sharing an endpoint with it. All edges come from one pass: each node sums
-    the one-hot buckets of its incident edges, and an edge's histogram is the
-    sum of its two endpoints' minus itself twice. Only a directed graph's
-    reverse edge also shares both endpoints, so it is subtracted once.
+    Returns an int32 array of shape (m, d, buckets): row e holds edge e's d
+    rows of bucket counts over the edges sharing an endpoint with it. All
+    edges come from one pass: each node sums the one-hot buckets of its
+    incident edges, and an edge's histogram is the sum of its two endpoints'
+    minus itself twice. Only a directed graph's reverse edge also shares both
+    endpoints, so it is subtracted once.
     """
     if assoc is None:
         assoc = association_vectors(g)
@@ -181,7 +187,7 @@ def neighborhood_summary(g, buckets=10, assoc=None):
         if pairs:
             fwd, rev = np.asarray(pairs).T
             hist[fwd] -= onehot[rev]
-    return [tuple(map(tuple, summary)) for summary in hist.tolist()]
+    return hist
 
 
 def neighborhood_similarity(summary_q, summary_t, weights):

@@ -422,7 +422,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         audit.prunes.append((kind, bound, ans.least()))
 
     q_assoc = association_vectors(q)
-    q_summaries = neighborhood_summary(q, index.params.buckets, q_assoc)
+    q_summaries = neighborhood_summary(q, index.params.buckets, q_assoc).tolist()
     order_w = scorer.order_weights
     summaries = index.summaries
     t_assoc = index.assoc
@@ -440,8 +440,10 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     def grow(pq):
         # a connected mapping with two or more pairs is fully determined by
         # its signature (shared endpoints force every node assignment), so
-        # the signature alone is a sound visited key past the seed level;
-        # the threshold only moves when an answer is offered
+        # the signature alone is a sound visited key past the seed level (a
+        # seed is met once per search: each query edge is handled once and
+        # each target edge sits in one leaf); the threshold only moves when
+        # an answer is offered
         floor = ans.floor()
         while pq:
             negb, _, _, score, nmap, sig = heappop(pq)
@@ -514,7 +516,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                 if audit is not None:
                     prune("seed", bound)
                 continue
-            ns = neighborhood_similarity(q_summaries[qe], summaries[te], order_w)
+            ns = neighborhood_similarity(q_summaries[qe], summaries[te].tolist(),
+                                         order_w)
             a, b = g.edges[te]
             fa = g.node_features[a]
             fb = g.node_features[b]
@@ -531,10 +534,6 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                     continue
                 nmap = dict(ori)
                 sig = ((qe, te),)
-                key = (sig, ori)
-                if key in visited:
-                    continue
-                visited.add(key)
                 score = state_score(nmap, sig)
                 bound = state_bound(score, 1, len(nmap))
                 if bound <= floor:

@@ -349,11 +349,15 @@ def test_c08_tree_invariants():
 
 
 def test_c09_summary_regression():
-    s = neighborhood_summary(collab_query())[0]
-    ok = (s[0][9] == 2 and s[2][8] == 1 and s[2][9] == 1
-          and s[0] == (0, 0, 0, 0, 0, 0, 0, 0, 0, 2)
-          and s[1] == (2, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-          and s[2] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 1))
+    q = collab_query()
+    summaries = neighborhood_summary(q)
+    s = summaries[0].tolist()
+    ok = (summaries.shape == (q.n_edges, len(q.schema), 10)
+          and summaries.dtype == np.int32
+          and s[0][9] == 2 and s[2][8] == 1 and s[2][9] == 1
+          and s[0] == [0, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+          and s[1] == [2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+          and s[2] == [0, 0, 0, 0, 0, 0, 0, 0, 1, 1])
     report(9, "neighborhood summary of the triangle fixture: feature-1 "
               "top bucket holds 2, feature-3 buckets 9/10 hold 1/1", ok)
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from contextgraph.graph import CATEGORICAL_SET, NUMERIC, FeatureSchema, Graph
-from contextgraph.index import (MBR, EdgeIndex, IndexFileError, bucket_index,
-                                build_index, construct_tree, load_index,
-                                mbr_of, mbr_similarity,
+from contextgraph.index import (MBR, EdgeIndex, IndexFileError, TreeNode,
+                                bucket_index, build_index, construct_tree,
+                                load_index, mbr_of, mbr_similarity,
                                 neighborhood_similarity, neighborhood_summary,
                                 save_index)
 from contextgraph.similarity import association_vectors, edge_similarity
-from contextgraph.synth import random_graph
+from contextgraph.synth import random_graph, spatial_graph
 from conftest import edit_index_payload, write_index_payload
 
 
@@ -18,6 +18,11 @@ class TestMbr:
     def test_componentwise_box(self):
         box = mbr_of([(0.2, 0.9), (0.4, 0.1), (0.3, 0.5)])
         assert box == MBR((0.2, 0.1), (0.4, 0.9))
+        assert all(type(x) is float for x in box.lo + box.hi)
+
+    def test_rejects_no_vectors(self):
+        with pytest.raises(ValueError, match="at least one vector"):
+            mbr_of([])
 
     def test_similarity_inside_is_weight_sum(self):
         box = MBR((0.2, 0.2), (0.8, 0.8))
@@ -135,13 +140,83 @@ class TestTree:
         with pytest.raises(ValueError):
             construct_tree([(0.5,)], [0], leaf_threshold=0)
 
+    def test_rejects_no_edges(self):
+        with pytest.raises(ValueError, match="at least one edge"):
+            construct_tree([(0.5,)], [])
+
+    @staticmethod
+    def reference(assoc, edge_ids, branching=4, leaf_threshold=100):
+        """The tree built with per-element Python loops and sorts."""
+        def box(ids):
+            lo = list(assoc[ids[0]])
+            hi = list(lo)
+            for e in ids[1:]:
+                for i, x in enumerate(assoc[e]):
+                    if x < lo[i]:
+                        lo[i] = x
+                    elif x > hi[i]:
+                        hi[i] = x
+            return MBR(tuple(lo), tuple(hi))
+
+        def build(ids):
+            mbr = box(ids)
+            if len(ids) < leaf_threshold or mbr.lo == mbr.hi:
+                return TreeNode(mbr, entries=tuple(ids))
+            var = np.asarray([assoc[e] for e in ids]).var(axis=0)
+            dim = int(np.argmax(var))
+            order = sorted(ids, key=lambda e: (assoc[e][dim], e))
+            fanout = min(branching, len(ids))
+            chunk = len(ids) // fanout
+            children = []
+            for c in range(fanout):
+                stop = (c + 1) * chunk if c < fanout - 1 else len(ids)
+                children.append(build(order[c * chunk:stop]))
+            return TreeNode(mbr, children=tuple(children))
+
+        return build(list(edge_ids))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_equals_reference_on_random_graphs(self, directed):
+        rng = np.random.default_rng(41 + directed)
+        for _ in range(30):
+            n = int(rng.integers(3, 40))
+            m = int(rng.integers(1, n * (n - 1) // 2 + 1))
+            assoc = association_vectors(random_graph(rng, n, m, directed=directed))
+            branching = int(rng.integers(2, 7))
+            leaf_threshold = int(rng.integers(1, 30))
+            assert construct_tree(assoc, range(m), branching, leaf_threshold) == \
+                self.reference(assoc, range(m), branching, leaf_threshold)
+
+    def test_equals_reference_on_ties_and_duplicates(self):
+        # values on a coarse grid tie on the split dimension and repeat
+        # whole vectors, so the (value, edge id) order and the lo == hi
+        # leaf rule both decide the shape; the ids are a shuffled subset
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            m = int(rng.integers(1, 200))
+            d = int(rng.integers(1, 4))
+            grid = int(rng.integers(1, 4))
+            assoc = [tuple(row) for row in rng.integers(0, grid + 1, (m, d)) / grid]
+            ids = rng.permutation(m)[:int(rng.integers(1, m + 1))].tolist()
+            branching = int(rng.integers(2, 6))
+            leaf_threshold = int(rng.integers(1, 20))
+            assert construct_tree(assoc, ids, branching, leaf_threshold) == \
+                self.reference(assoc, ids, branching, leaf_threshold)
+
+    def test_equals_reference_on_spatial_graph(self):
+        g = spatial_graph()
+        assoc = association_vectors(g)
+        root = construct_tree(assoc, range(g.n_edges))
+        assert root == self.reference(assoc, range(g.n_edges))
+        assert all(type(e) is int for e in leaf_entries(root))
+
 
 class TestSummaries:
     def test_triangle_histograms(self, collab_query):
-        s = neighborhood_summary(collab_query)[0]
-        assert s[0] == (0, 0, 0, 0, 0, 0, 0, 0, 0, 2)
-        assert s[1] == (2, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert s[2] == (0, 0, 0, 0, 0, 0, 0, 0, 1, 1)
+        s = neighborhood_summary(collab_query)[0].tolist()
+        assert s[0] == [0, 0, 0, 0, 0, 0, 0, 0, 0, 2]
+        assert s[1] == [2, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+        assert s[2] == [0, 0, 0, 0, 0, 0, 0, 0, 1, 1]
 
     def test_counts_total_neighbors(self):
         g = random_graph(np.random.default_rng(5), 16, 30)
@@ -165,7 +240,7 @@ class TestSummaries:
             for other in g.neighborhood_edges(e):
                 for i, x in enumerate(assoc[other]):
                     hist[i][bucket_index(x, buckets)] += 1
-            out.append(tuple(tuple(row) for row in hist))
+            out.append(hist)
         return out
 
     @pytest.mark.parametrize("directed", [False, True])
@@ -182,8 +257,9 @@ class TestSummaries:
                 g = Graph(True, g.schema, g.node_features, sorted(edges))
             buckets = int(rng.integers(1, 12))
             summaries = neighborhood_summary(g, buckets)
-            assert summaries == self.reference(g, buckets)
-            assert all(type(c) is int for c in summaries[0][0])
+            assert summaries.shape == (g.n_edges, len(g.schema), buckets)
+            assert summaries.dtype == np.int32
+            assert summaries.tolist() == self.reference(g, buckets)
 
     def test_values_on_bucket_boundaries(self):
         # gamma gives 1/10 == 0.1 and 9/10 == 0.9 exactly: buckets 0 and 8
@@ -192,8 +268,8 @@ class TestSummaries:
                   [(0, 1), (0, 2), (2, 4), (1, 3), (0, 4)])
         assert [vec[0] for vec in association_vectors(g)] == [0.1, 0.9, 0.9, 0.0, 1.0]
         summaries = neighborhood_summary(g)
-        assert summaries == self.reference(g)
-        assert summaries[4] == ((1, 0, 0, 0, 0, 0, 0, 0, 2, 0),)
+        assert summaries.tolist() == self.reference(g)
+        assert summaries[4].tolist() == [[1, 0, 0, 0, 0, 0, 0, 0, 2, 0]]
 
     def test_similarity_counts_covered_buckets(self):
         w = (1.0,)
@@ -250,7 +326,8 @@ class TestPersistence:
         assert loaded.graph.node_features == g.node_features
         assert loaded.graph.node_ids == g.node_ids
         assert loaded.assoc == idx.assoc
-        assert loaded.summaries == idx.summaries
+        assert loaded.summaries.dtype == np.int32
+        assert np.array_equal(loaded.summaries, idx.summaries)
         assert loaded.root == idx.root
         assert loaded.null_model.tables == idx.null_model.tables
         assert loaded.null_model.binner == idx.null_model.binner

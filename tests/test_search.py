@@ -1,6 +1,7 @@
 """Search engines: growth semantics, oracle, indexed top-k/range equivalence."""
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -455,10 +456,21 @@ class TestSeedPairBound:
         r = q.n_edges - 0.1
         seen = []
 
-        # each summary travels tagged with its edge, so a call names the
+        # each summary row travels tagged with its edge, so a call names the
         # very (query edge, target edge) pair it orders
+        class Tagged:
+            def __init__(self, rows):
+                self.rows = rows
+
+            def tolist(self):
+                return list(enumerate(self.rows.tolist()))
+
+            def __getitem__(self, e):
+                row = self.rows[e].tolist()
+                return SimpleNamespace(tolist=lambda: (e, row))
+
         def summary(*args, _fn=cg_search.neighborhood_summary):
-            return list(enumerate(_fn(*args)))
+            return Tagged(_fn(*args))
 
         def nsim(s_q, s_t, weights, _fn=cg_search.neighborhood_similarity):
             seen.append((s_q[0], s_t[0]))
@@ -466,7 +478,7 @@ class TestSeedPairBound:
 
         monkeypatch.setattr(cg_search, "neighborhood_summary", summary)
         monkeypatch.setattr(cg_search, "neighborhood_similarity", nsim)
-        monkeypatch.setattr(idx, "summaries", list(enumerate(idx.summaries)))
+        monkeypatch.setattr(idx, "summaries", Tagged(idx.summaries))
         audit = SearchAudit()
         range_search(q, idx, r, weights=w, audit=audit)
         assert seen
