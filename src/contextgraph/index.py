@@ -3,10 +3,12 @@
 The tree recursively partitions the target's edges on the highest-variance
 association dimension; every node keeps the minimum bounding rectangle (MBR)
 of its edges' association vectors, so the best edge similarity under a node
-can be bounded without visiting it. The index also keeps per-edge
-neighborhood summaries, bucketed histograms of the association values around
-an edge, used to order seed candidates; they are one int32 array of shape
-(m, d, buckets), row e being edge e's summary.
+can be bounded without visiting it. The association vectors themselves are
+kept as one (m, d) float64 array, row e being edge e's vector, which the
+searches compare against the query's edges in one pass per query. The index
+also keeps per-edge neighborhood summaries, bucketed histograms of the
+association values around an edge, used to order seed candidates; they are
+one int32 array of shape (m, d, buckets), row e being edge e's summary.
 
 Index files start with the magic bytes CGQ1, a format version, and a length
 prefix; the payload is a compressed JSON document holding only the target
@@ -224,7 +226,12 @@ class IndexParams:
 
 
 class EdgeIndex:
-    """Searchable bundle: target graph, null model, association data, tree."""
+    """Searchable bundle: target graph, null model, association data, tree.
+
+    assoc is the (m, d) float64 array of the target's association vectors,
+    row e being edge e's; summaries is the int32 (m, d, buckets) array of
+    its neighborhood summaries.
+    """
 
     def __init__(self, graph, params, null_model, assoc, summaries, root):
         self.graph = graph
@@ -269,7 +276,7 @@ def build_index(g, branching=4, leaf_threshold=100, buckets=10, bins=10):
         raise ValueError("buckets must be >= 1")
     params = IndexParams(branching, leaf_threshold, buckets, bins)
     null_model = estimate_null_model(g, bins=bins)
-    assoc = association_vectors(g)
+    assoc = np.asarray(association_vectors(g), dtype=float)
     summaries = neighborhood_summary(g, buckets, assoc)
     root = construct_tree(assoc, range(g.n_edges), branching, leaf_threshold)
     return EdgeIndex(g, params, null_model, assoc, summaries, root)

@@ -9,6 +9,8 @@ their association vectors agree on the features the context weights favor.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import NUMERIC
 
 
@@ -68,6 +70,31 @@ def edge_similarity(s_q, s_t, weights, strict_zero=False):
     if total < 0.0:
         return 0.0
     return total
+
+
+def pair_similarity_table(q_assoc, t_assoc, weights):
+    """edge_similarity of every (query edge, target edge) pair in one pass.
+
+    q_assoc and t_assoc are sequences of association vectors or (n, d)
+    arrays. Returns an (m_q, m) float64 array whose entry [qe, te] equals
+    edge_similarity(q_assoc[qe], t_assoc[te], weights) bit for bit: per
+    feature, in weight order, the ratio min/max (1 where both values are 0)
+    is weighted and added, and the sum is clamped into [0, 1]. An edgeless
+    query gives shape (0, m).
+    """
+    d = len(weights)
+    q = np.asarray(q_assoc, dtype=float).reshape(len(q_assoc), d)
+    t = np.asarray(t_assoc, dtype=float).reshape(len(t_assoc), d)
+    total = np.zeros((len(q), len(t)))
+    ratio = np.empty_like(total)
+    for i, w in enumerate(weights):
+        x = q[:, i, None]
+        y = t[None, :, i]
+        hi = np.maximum(x, y)
+        ratio.fill(1.0)
+        np.divide(np.minimum(x, y), hi, out=ratio, where=hi != 0.0)
+        total += w * ratio
+    return np.clip(total, 0.0, 1.0, out=total)
 
 
 class Mapping:

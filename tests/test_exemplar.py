@@ -16,7 +16,8 @@ from contextgraph.graph import (CATEGORICAL, NUMERIC, FeatureSchema, Graph,
                                 GraphLoadError)
 from contextgraph.index import build_index
 from contextgraph.search import SearchParams, naive_topk, topk_search
-from contextgraph.similarity import Mapping, contextual_graph_similarity
+from contextgraph.similarity import (Mapping, contextual_graph_similarity,
+                                     edge_similarity)
 from contextgraph.synth import grow_query, random_graph
 from conftest import COLLAB_SCHEMA
 
@@ -244,16 +245,43 @@ class TestIntentSearch:
         assert len(got) == 1
         assert {te for _, te in got[0].mapping.edge_pairs} == {0}
 
-    def test_scores_aggregate_all_exemplars(self, collab_query, collab_target):
-        es = collab_pair(collab_query, collab_target)
-        idx = build_index(collab_target)
-        nm = idx.null_model
-        res = intent_topk(es, idx, SearchParams(k=1), "individual", "min",
-                          use_filters=False)
-        assert res
-        got = exemplar_similarity(res[0].mapping, es, collab_target, nm,
-                                  "individual", "min")
-        assert res[0].score == pytest.approx(got)
+    def test_scores_aggregate_all_exemplars(self):
+        # every answer's score equals the reference aggregate bit for bit,
+        # in each weight and aggregation mode: the engine's gain and score
+        # tables must add the exemplars in the reference's order
+        rng = np.random.default_rng(38)
+        g = random_graph(rng, 24, 44)
+        idx = build_index(g, leaf_threshold=6)
+        q = grow_query(g, 3, rng)
+        f = q.schema.kinds.index(NUMERIC)
+        twins = [Graph(q.directed, q.schema,
+                       [row[:f] + (row[f] + shift,) + row[f + 1:]
+                        for row in q.node_features], q.edges)
+                 for shift in (1.0, 2.5)]
+        identity = {u: u for u in range(q.n_nodes)}
+        checked = 0
+        for n_ex in (2, 3):
+            es = ExemplarSet([q] + twins[:n_ex - 1], [identity] * (n_ex - 1))
+            for weight_mode in ("individual", "averaged"):
+                for agg_mode in ("min", "mean"):
+                    res = intent_topk(es, idx, SearchParams(k=5), weight_mode,
+                                      agg_mode, use_filters=False)
+                    assert res
+                    for match in res:
+                        assert match.score == exemplar_similarity(
+                            match.mapping, es, g, idx.null_model, weight_mode,
+                            agg_mode)
+                        checked += 1
+                    scorer = _ExemplarScorer(es, idx, weight_mode, agg_mode)
+                    for qe in range(q.n_edges):
+                        for te in range(g.n_edges):
+                            vec = [edge_similarity(scorer.q_assoc[i][qe],
+                                                   idx.assoc[te], w)
+                                   for i, w in enumerate(scorer.per_weights)]
+                            want = (max(vec) if agg_mode == "min"
+                                    else sum(vec) / n_ex)
+                            assert scorer.pair_gain(qe, te, ()) == want
+        assert checked == 8 * 5
 
 
     def test_weights_learned_once(self, monkeypatch):

@@ -9,7 +9,8 @@ from contextgraph.index import (MBR, EdgeIndex, IndexFileError, TreeNode,
                                 load_index, mbr_of, mbr_similarity,
                                 neighborhood_similarity, neighborhood_summary,
                                 save_index)
-from contextgraph.similarity import association_vectors, edge_similarity
+from contextgraph.similarity import (association_vector, association_vectors,
+                                     edge_similarity)
 from contextgraph.synth import random_graph, spatial_graph
 from conftest import edit_index_payload, write_index_payload
 
@@ -314,6 +315,16 @@ class TestBuildIndex:
         assert len(idx.summaries) == g.n_edges
         assert len(idx.assoc) == g.n_edges
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_assoc_is_one_array_of_the_vectors(self, directed):
+        g = random_graph(np.random.default_rng(17), 18, 30, directed=directed)
+        idx = build_index(g)
+        assert isinstance(idx.assoc, np.ndarray)
+        assert idx.assoc.dtype == np.float64
+        assert idx.assoc.shape == (g.n_edges, len(g.schema))
+        for e in range(g.n_edges):
+            assert tuple(idx.assoc[e].tolist()) == association_vector(g, e)
+
 
 class TestPersistence:
     def test_round_trip_equal_index(self, tmp_path):
@@ -325,7 +336,7 @@ class TestPersistence:
         assert loaded.graph.edges == g.edges
         assert loaded.graph.node_features == g.node_features
         assert loaded.graph.node_ids == g.node_ids
-        assert loaded.assoc == idx.assoc
+        assert np.array_equal(loaded.assoc, idx.assoc)
         assert loaded.summaries.dtype == np.int32
         assert np.array_equal(loaded.summaries, idx.summaries)
         assert loaded.root == idx.root

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import contextgraph.search as cg_search
 from contextgraph.context import weight_vector
-from contextgraph.exemplar import _ExemplarScorer, intent_topk
+from contextgraph.exemplar import ExemplarSet, _ExemplarScorer, intent_topk
 from contextgraph.graph import CATEGORICAL, FeatureSchema, Graph
 from contextgraph.index import build_index
 from contextgraph.search import (SearchAudit, SearchParams, SearchTimeout,
@@ -279,6 +279,25 @@ class TestIndexedRange:
         idx = build_index(g)
         with pytest.raises(ValueError):
             range_search(q, idx, float("inf"))
+
+
+class TestEdgelessQuery:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_every_search_returns_nothing(self, directed):
+        # the scorers build their pair tables before the engine's early
+        # return for a query without edges, so that path must hold up too
+        g = random_graph(np.random.default_rng(37), 12, 20, directed=directed)
+        idx = build_index(g, leaf_threshold=4)
+        q = Graph(directed, g.schema, [g.node_features[0], g.node_features[1]], [])
+        for scorer in ("contextual", "traditional"):
+            params = SearchParams(k=3, scorer=scorer)
+            assert topk_search(q, idx, params) == []
+            assert range_search(q, idx, 0.0, params) == []
+        es = ExemplarSet([q, q], [{0: 1, 1: 0}])
+        for weight_mode in ("individual", "averaged"):
+            for agg_mode in ("min", "mean"):
+                assert intent_topk(es, idx, SearchParams(k=3), weight_mode,
+                                   agg_mode) == []
 
 
 class TestSingleLeaf:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextgraph.graph import (CATEGORICAL, CATEGORICAL_SET, NUMERIC,
                                 FeatureSchema, Graph)
@@ -9,7 +11,7 @@ from contextgraph.similarity import (Mapping, association_vector,
                                      association_vectors,
                                      contextual_graph_similarity,
                                      edge_similarity, gamma, mcs_upper_bound,
-                                     seed_upper_bound,
+                                     pair_similarity_table, seed_upper_bound,
                                      traditional_graph_similarity,
                                      traditional_node_similarity)
 from contextgraph.synth import random_graph
@@ -115,6 +117,51 @@ class TestEdgeSimilarity:
             w = tuple(rng.dirichlet(np.ones(4)))
             cs = edge_similarity(s_q, s_t, w)
             assert 0.0 <= cs <= 1.0
+
+
+# association components: zeros, repeats and 0/1 categorical values are
+# drawn often, so equal, 0-vs-0 and 0-vs-positive pairs all occur
+COMPONENT = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 0.25]),
+                      st.floats(0.0, 1.0))
+
+
+@st.composite
+def table_inputs(draw):
+    d = draw(st.integers(1, 5))
+    vec = st.tuples(*[COMPONENT] * d)
+    q_assoc = draw(st.lists(vec, min_size=1, max_size=5))
+    t_assoc = draw(st.lists(vec, min_size=1, max_size=8))
+    # zero weights, and weights summing past 1 so the clamp runs
+    weights = draw(st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 1.0))] * d))
+    return q_assoc, t_assoc, weights
+
+
+class TestPairSimilarityTable:
+    @settings(max_examples=300, deadline=None)
+    @given(table_inputs())
+    def test_equals_edge_similarity_bit_for_bit(self, inputs):
+        q_assoc, t_assoc, weights = inputs
+        table = pair_similarity_table(q_assoc, t_assoc, weights)
+        assert table.dtype == np.float64
+        assert table.shape == (len(q_assoc), len(t_assoc))
+        for qe, s_q in enumerate(q_assoc):
+            for te, s_t in enumerate(t_assoc):
+                assert table[qe, te] == edge_similarity(s_q, s_t, weights)
+
+    def test_clamps_like_edge_similarity(self):
+        q_assoc = [(0.5, 1.0), (0.0, 0.0)]
+        t_assoc = np.array([[0.5, 1.0], [0.0, 0.0], [0.25, 0.0]])
+        weights = (0.75, 0.75)
+        table = pair_similarity_table(q_assoc, t_assoc, weights)
+        assert table[0, 0] == 1.0 and table[1, 1] == 1.0
+        for qe in range(2):
+            for te in range(3):
+                assert table[qe, te] == edge_similarity(q_assoc[qe], t_assoc[te],
+                                                        weights)
+
+    def test_edgeless_query(self):
+        table = pair_similarity_table([], [(0.5, 1.0), (1.0, 0.0)], (0.5, 0.5))
+        assert table.shape == (0, 2)
 
 
 def triangle_mapping(n_pairs=3):
