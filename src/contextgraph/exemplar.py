@@ -5,22 +5,21 @@ features whose node values repeat identically across the exemplars (exact
 match) or whose association components repeat edgewise (exact relation)
 become hard requirements, while the remaining features keep renormalized
 chi-square weights. Scoring aggregates the per-exemplar contextual
-similarities by min or mean, with weights learned per exemplar or averaged.
+similarities by min or mean, with weights learned per exemplar or averaged,
+in the same pair-table scorer that serves a single query.
 """
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .context import weight_vector
 from .graph import GraphLoadError
-from .index import mbr_similarity
-from .search import SearchParams, _search
+from .search import SearchParams, _PairTableScorer, _search
 from .similarity import (association_vectors, contextual_graph_similarity,
-                         pair_similarity_table, Mapping)
-# not called here since pair values come from pair_similarity_table, but the
-# benchmark's traced run (perfbench/spans.py) wraps and counts this name on
-# this module, and fails if it is missing
+                         Mapping)
+# not called here since the pair-table scorer of search.py computes every
+# pair value and box bound, but the benchmark's traced run (perfbench/spans.py)
+# wraps and counts these names on this module, and fails if one is missing
+from .index import mbr_similarity  # noqa: F401
 from .similarity import edge_similarity  # noqa: F401
 
 
@@ -122,7 +121,11 @@ def exemplar_similarity(m, es, g_t, nm, weight_mode="individual",
     if agg_mode == "min":
         return min(scores)
     if agg_mode == "mean":
-        return sum(scores) / len(scores)
+        # in exemplar order, as the engine adds them (sum() may not, 3.12 on)
+        total = 0.0
+        for s in scores:
+            total += s
+        return total / len(scores)
     raise ValueError(f"unknown agg_mode {agg_mode!r}")
 
 
@@ -201,88 +204,36 @@ def hybrid_context(es, nm):
     return HybridContext(em, er, weights, per)
 
 
-class _ExemplarScorer:
-    """Engine scorer: per-exemplar score vectors aggregated by min or mean.
-
-    Both aggregators commute with adding a constant, so score + remaining
-    edges stays a sound upper bound and the index phases prune safely. Pair
-    values come from one pair_similarity_table per exemplar plus one table of
-    pair gains, built per query: (u + 1) * m_q * m * 8 bytes for u exemplars
-    and m target edges.
-    """
-
-    def __init__(self, es, index, weight_mode="individual", agg_mode="min",
-                 context=None):
-        if agg_mode not in ("min", "mean"):
-            raise ValueError(f"unknown agg_mode {agg_mode!r}")
-        hc = context if context is not None else hybrid_context(es, index.null_model)
-        per = hc.per_weights
-        if weight_mode == "averaged":
-            per = [averaged_weights(per)] * len(es)
-        elif weight_mode != "individual":
-            raise ValueError(f"unknown weight_mode {weight_mode!r}")
-        self.u = len(es)
-        self.per_weights = per
-        self.agg_min = agg_mode == "min"
-        self.order_weights = (hc.weights if sum(hc.weights) > 0.0
-                              else averaged_weights(per))
-        self.hybrid = hc
-        # query association vectors per exemplar, in the first exemplar's edge ids
-        self.q_assoc = [[assoc[e] for e in emap] for assoc, emap in
-                        zip(map(association_vectors, es.graphs), es.edge_maps)]
-        self.m_q = es.graphs[0].n_edges
-        tables = [pair_similarity_table(qa, index.assoc, w)
-                  for qa, w in zip(self.q_assoc, per)]
-        # min(s + c) <= min(s) + max(c); the mean of s + c is mean(s) + mean(c).
-        # sum() adds the exemplars in order, so each gain equals sum(vec) / u
-        gain = np.maximum.reduce(tables) if self.agg_min else sum(tables) / self.u
-        self.rows = [[memoryview(row) for row in table] for table in tables]
-        self.gain_rows = [memoryview(row) for row in gain]
-
-    def _agg(self, values):
-        if self.agg_min:
-            return min(values)
-        return sum(values) / self.u
-
-    def state_score(self, nmap, sig):
-        sums = []
-        for rows in self.rows:
-            total = 0.0
-            for qe, te in sig:
-                total += rows[qe][te]
-            sums.append(total)
-        return self._agg(sums)
-
-    def pair_gain(self, qe, te, new):
-        return self.gain_rows[qe][te]
-
-    def state_bound(self, score, n_pairs, n_nodes):
-        return score + (self.m_q - n_pairs)
-
-    def mbr_value(self, qe, mbr):
-        return self._agg([mbr_similarity(self.q_assoc[i][qe], self.per_weights[i], mbr)
-                          for i in range(self.u)])
-
-    def seed_bound(self, value):
-        return value + (self.m_q - 1)
-
-
 def intent_topk(es, index, params=None, weight_mode="individual",
                 agg_mode="min", use_filters=True, audit=None, context=None):
     """Top-k matches of an exemplar set against an indexed target.
 
-    The first exemplar drives the growth; scores aggregate all exemplars.
-    With use_filters the exact-match / exact-relation features restrict which
-    target edges may seed the search. context is the exemplar set's
-    HybridContext under the index's null model when the caller already has
-    it; otherwise it is learned here.
+    The first exemplar drives the growth; scores aggregate all exemplars,
+    and params.scorer must be "contextual". With use_filters the exact-match
+    / exact-relation features restrict which target edges may seed the
+    search. context is the exemplar set's HybridContext under the index's
+    null model when the caller already has it; otherwise it is learned here.
     """
     if params is None:
         params = SearchParams()
     if params.k < 1:
         raise ValueError("k must be >= 1")
-    scorer = _ExemplarScorer(es, index, weight_mode, agg_mode, context)
-    hc = scorer.hybrid
+    if params.scorer != "contextual":
+        raise ValueError(f"intent search scores contextually, not with "
+                         f"scorer {params.scorer!r}")
+    if weight_mode not in ("individual", "averaged"):
+        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+    if agg_mode not in ("min", "mean"):
+        raise ValueError(f"unknown agg_mode {agg_mode!r}")
+    hc = context if context is not None else hybrid_context(es, index.null_model)
+    per = hc.per_weights
+    if weight_mode == "averaged":
+        per = [averaged_weights(per)] * len(es)
+    order_w = hc.weights if sum(hc.weights) > 0.0 else averaged_weights(per)
+    # query association vectors per exemplar, in the first exemplar's edge ids
+    q_assocs = [[assoc[e] for e in emap] for assoc, emap in
+                zip(map(association_vectors, es.graphs), es.edge_maps)]
+    scorer = _PairTableScorer(q_assocs, index, per, order_w, agg_mode == "min")
     em, er = (hc.exact_match, hc.exact_relation) if use_filters else ((), ())
     return _search(es.graphs[0], index, scorer, k=params.k, audit=audit,
                    exact_match=em, exact_relation=er)

@@ -25,6 +25,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from heapq import heappop, heappush, heapreplace
 from itertools import count
 
@@ -215,39 +216,59 @@ def naive_range(q, g, r, scorer="contextual", weights=None, null_model=None,
     return [ScoredMatch(m, s) for s, m in ranked if s >= r]
 
 
-class _ContextualScorer:
+class _PairTableScorer:
     """Chi-square-weighted contextual similarity with tight index bounds.
 
-    Every pair value comes from one pair_similarity_table built per query,
-    m_q * m * 8 bytes for m target edges; its rows are read through
-    memoryviews, which yield Python floats.
+    A mapping scores the min (agg_min) or mean of its sums over u exemplars,
+    exemplar i given by its query vectors q_assocs[i] (in the driving query's
+    edge ids) and weights per_weights[i]; a single query is u = 1 under min.
+    Pair values come from one pair_similarity_table per exemplar, m_q * m * 8
+    bytes for m target edges, plus one of pair gains when u > 1; their rows
+    are read through memoryviews, which yield Python floats.
     """
 
-    def __init__(self, q, index, weights):
-        self.weights = tuple(weights)
-        self.order_weights = self.weights
-        self.q_assoc = association_vectors(q)
-        self.m_q = q.n_edges
-        table = pair_similarity_table(self.q_assoc, index.assoc, self.weights)
-        self.rows = [memoryview(row) for row in table]
+    def __init__(self, q_assocs, index, per_weights, order_weights, agg_min):
+        self.q_assocs = q_assocs
+        self.q_assoc = q_assocs[0]
+        self.per_weights = per_weights
+        self.order_weights = order_weights
+        self.agg_min = agg_min
+        self.u = len(q_assocs)
+        self.m_q = len(self.q_assoc)
+        tables = [pair_similarity_table(qa, index.assoc, w)
+                  for qa, w in zip(q_assocs, per_weights)]
+        # min(s + c) <= min(s) + max(c) and mean(s + c) = mean(s) + mean(c), so
+        # score + remaining edges bounds; sum() adds the exemplars in order,
+        # and the max of one table is that table, not a copy
+        gain = reduce(np.maximum, tables) if agg_min else sum(tables) / self.u
+        self.rows = [[memoryview(row) for row in table] for table in tables]
+        self.gain_rows = [memoryview(row) for row in gain]
 
     def state_score(self, nmap, sig):
-        # canonical order: summed along the sorted signature, so the same
-        # mapping always produces the same float as the reference engine
-        rows = self.rows
-        total = 0.0
-        for qe, te in sig:
-            total += rows[qe][te]
-        return total
+        # canonical order: summed along the sorted signature, then over the
+        # exemplars in order, as the reference scores; a list of sums for
+        # min() doubled the cost of a one-exemplar call
+        least = math.inf
+        added = 0.0
+        for rows in self.rows:
+            total = 0.0
+            for qe, te in sig:
+                total += rows[qe][te]
+            if total < least:
+                least = total
+            added += total
+        return least if self.agg_min else added / self.u
 
     def pair_gain(self, qe, te, new):
-        return self.rows[qe][te]
+        return self.gain_rows[qe][te]
 
     def state_bound(self, score, n_pairs, n_nodes):
         return score + (self.m_q - n_pairs)
 
     def mbr_value(self, qe, mbr):
-        return mbr_similarity(self.q_assoc[qe], self.weights, mbr)
+        values = [mbr_similarity(qa[qe], w, mbr)
+                  for qa, w in zip(self.q_assocs, self.per_weights)]
+        return min(values) if self.agg_min else sum(values) / self.u
 
     def seed_bound(self, value):
         return value + (self.m_q - 1)
@@ -375,7 +396,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
             exact_match=(), exact_relation=()):
     """Shared three-phase engine; exactly one of k / r is set.
 
-    The scorer supplies six members:
+    The scorer supplies seven members:
+      q_assoc                    association vectors of q's edges, by edge id
       order_weights              feature weights that order query edges,
                                  tree nodes and leaf entries
       state_score(nmap, sig)     score of a mapping, summed along sig
@@ -385,9 +407,9 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                                  node assignments add to a state's score
       mbr_value(qe, mbr)         bound on qe's pair value under a tree box
       seed_bound(value)          best final score from a seed of that value
-    The contextual and exemplar scorers build their pair values against every
-    target edge once, when they are made (pair_similarity_table), so
-    pair_gain and state_score only read them by index.
+    The pair-table scorer builds its pair values against every target edge
+    once, when it is made (pair_similarity_table), so pair_gain and
+    state_score only read them by index.
     Each leaf the tree descent reaches puts every seed it holds for the
     current query edge into one growth queue, in neighborhood-similarity
     order, and grows that queue until its best bound cannot beat the answer
@@ -423,7 +445,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     def prune(kind, bound):
         audit.prunes.append((kind, bound, ans.least()))
 
-    q_assoc = association_vectors(q)
+    q_assoc = scorer.q_assoc
     q_summaries = neighborhood_summary(q, index.params.buckets, q_assoc).tolist()
     order_w = scorer.order_weights
     summaries = index.summaries
@@ -583,7 +605,9 @@ def _build_scorer(q, index, params, weights):
     if params.scorer == "contextual":
         if weights is None:
             weights = weight_vector(q, index.null_model)
-        return _ContextualScorer(q, index, weights)
+        weights = tuple(weights)
+        return _PairTableScorer([association_vectors(q)], index, [weights],
+                                weights, True)
     if params.scorer == "traditional":
         return _TraditionalScorer(q, index)
     raise ValueError(f"unknown scorer {params.scorer!r}")

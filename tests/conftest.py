@@ -12,7 +12,8 @@ import zlib
 import numpy as np
 import pytest
 
-from contextgraph.exemplar import ExemplarSet
+import contextgraph.exemplar as cg_exemplar
+from contextgraph.exemplar import ExemplarSet, intent_topk
 from contextgraph.graph import CATEGORICAL, NUMERIC, FeatureSchema, Graph
 from contextgraph.index import FORMAT_VERSION, MAGIC
 from contextgraph.synth import grow_query, random_graph
@@ -67,6 +68,22 @@ def shifted_exemplars(q):
     feats = [(row[0] + 1.0,) + tuple(row[1:]) for row in q.node_features]
     twin = Graph(q.directed, q.schema, feats, q.edges, q.node_ids)
     return ExemplarSet([q, twin], [{u: u for u in range(q.n_nodes)}])
+
+
+def intent_scorer(es, index, **modes):
+    """The scorer intent_topk hands to the search engine for es, index and
+    the given keyword arguments; the search itself is not run."""
+    seen = []
+
+    def capture(q, index, scorer, **kwargs):
+        seen.append(scorer)
+        return []
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg_exemplar, "_search", capture)
+        intent_topk(es, index, **modes)
+    (scorer,) = seen
+    return scorer
 
 
 def write_index_payload(path, text):

@@ -6,7 +6,7 @@ import pytest
 import contextgraph.exemplar as cg_exemplar
 from contextgraph.context import estimate_null_model, weight_vector
 from contextgraph.exemplar import (ExemplarError, ExemplarSet, HybridContext,
-                                   _ExemplarScorer, averaged_weights,
+                                   averaged_weights,
                                    detect_exact_match_features,
                                    detect_exact_relation_features,
                                    exemplar_similarity, exemplar_weights,
@@ -19,7 +19,7 @@ from contextgraph.search import SearchParams, naive_topk, topk_search
 from contextgraph.similarity import (Mapping, contextual_graph_similarity,
                                      edge_similarity)
 from contextgraph.synth import grow_query, random_graph
-from conftest import COLLAB_SCHEMA
+from conftest import COLLAB_SCHEMA, intent_scorer
 
 IDENTITY3 = {0: 0, 1: 1, 2: 2}
 
@@ -272,10 +272,11 @@ class TestIntentSearch:
                             match.mapping, es, g, idx.null_model, weight_mode,
                             agg_mode)
                         checked += 1
-                    scorer = _ExemplarScorer(es, idx, weight_mode, agg_mode)
+                    scorer = intent_scorer(es, idx, weight_mode=weight_mode,
+                                           agg_mode=agg_mode)
                     for qe in range(q.n_edges):
                         for te in range(g.n_edges):
-                            vec = [edge_similarity(scorer.q_assoc[i][qe],
+                            vec = [edge_similarity(scorer.q_assocs[i][qe],
                                                    idx.assoc[te], w)
                                    for i, w in enumerate(scorer.per_weights)]
                             want = (max(vec) if agg_mode == "min"
@@ -283,6 +284,34 @@ class TestIntentSearch:
                             assert scorer.pair_gain(qe, te, ()) == want
         assert checked == 8 * 5
 
+    @pytest.mark.parametrize("scorer", ["traditional", "nope"])
+    def test_rejects_other_scorers(self, scorer):
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, 20, 34)
+        idx = build_index(g, leaf_threshold=6)
+        q = grow_query(g, 3, rng)
+        es = ExemplarSet([q, q], [{i: i for i in range(q.n_nodes)}])
+        with pytest.raises(ValueError, match="scorer"):
+            intent_topk(es, idx, SearchParams(k=3, scorer=scorer))
+
+    @pytest.mark.parametrize("modes", [{"weight_mode": "bogus"},
+                                       {"agg_mode": "bogus"}])
+    def test_modes_checked_before_weights_are_learned(self, monkeypatch, modes):
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, 20, 34)
+        idx = build_index(g, leaf_threshold=6)
+        q = grow_query(g, 3, rng)
+        es = ExemplarSet([q, q], [{i: i for i in range(q.n_nodes)}])
+        calls = []
+
+        def counted(*args, _fn=cg_exemplar.weight_vector):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(cg_exemplar, "weight_vector", counted)
+        with pytest.raises(ValueError, match=next(iter(modes))):
+            intent_topk(es, idx, SearchParams(k=3), **modes)
+        assert calls == []
 
     def test_weights_learned_once(self, monkeypatch):
         rng = np.random.default_rng(3)

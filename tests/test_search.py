@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import contextgraph.exemplar as cg_exemplar
+import contextgraph.index as cg_index
 import contextgraph.search as cg_search
 from contextgraph.context import weight_vector
-from contextgraph.exemplar import ExemplarSet, _ExemplarScorer, intent_topk
+from contextgraph.exemplar import ExemplarSet, hybrid_context, intent_topk
 from contextgraph.graph import CATEGORICAL, FeatureSchema, Graph
 from contextgraph.index import build_index
 from contextgraph.search import (SearchAudit, SearchParams, SearchTimeout,
-                                 _ContextualScorer, _TraditionalScorer,
-                                 _extensions, _growth_slack,
+                                 _PairTableScorer, _TraditionalScorer,
+                                 _build_scorer, _extensions, _growth_slack,
                                  _seed_orientations, enumerate_mcs,
                                  naive_range, naive_topk, range_search,
                                  topk_search)
 from contextgraph.similarity import association_vectors, edge_similarity
 from contextgraph.synth import grow_query, random_graph, spatial_graph
-from conftest import make_instance, shifted_exemplars
+from conftest import intent_scorer, make_instance, shifted_exemplars
 
 CAT1 = FeatureSchema(("c",), (CATEGORICAL,))
 
@@ -335,6 +337,48 @@ class TestSingleLeaf:
                            for _, bound, threshold in audit.prunes)
 
 
+class TestQueryVectors:
+    @pytest.mark.parametrize("scorer", ["contextual", "traditional"])
+    @pytest.mark.parametrize("search", [
+        lambda q, idx, params: topk_search(q, idx, params),
+        lambda q, idx, params: range_search(q, idx, 1.5, params),
+    ], ids=["topk", "range"])
+    def test_computed_once_per_search(self, monkeypatch, search, scorer):
+        # the scorer computes the query's association vectors and the
+        # engine reads them from it
+        rng = np.random.default_rng(23)
+        g, q = make_instance(rng)
+        idx = build_index(g, leaf_threshold=3)
+        calls = []
+
+        def counted(graph, _fn=cg_search.association_vectors):
+            calls.append(graph)
+            return _fn(graph)
+
+        for mod in (cg_search, cg_index):
+            monkeypatch.setattr(mod, "association_vectors", counted)
+        search(q, idx, SearchParams(k=3, scorer=scorer))
+        assert len(calls) == 1 and calls[0] is q
+
+    def test_computed_once_per_exemplar(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        g, q = make_instance(rng)
+        idx = build_index(g, leaf_threshold=3)
+        es = shifted_exemplars(q)
+        context = hybrid_context(es, idx.null_model)
+        calls = []
+
+        def counted(graph, _fn=cg_search.association_vectors):
+            calls.append(graph)
+            return _fn(graph)
+
+        for mod in (cg_search, cg_index, cg_exemplar):
+            monkeypatch.setattr(mod, "association_vectors", counted)
+        intent_topk(es, idx, SearchParams(k=3), context=context)
+        assert len(calls) == len(es)
+        assert all(a is b for a, b in zip(calls, es.graphs))
+
+
 class TestAudit:
     def test_prunes_never_cut_reachable_scores(self):
         rng = np.random.default_rng(20)
@@ -380,10 +424,11 @@ class TestAudit:
 
 def make_scorer(kind, q, idx):
     if kind == "contextual":
-        return _ContextualScorer(q, idx, weight_vector(q, idx.null_model))
+        return _build_scorer(q, idx, SearchParams(),
+                             weight_vector(q, idx.null_model))
     if kind == "traditional":
         return _TraditionalScorer(q, idx)
-    return _ExemplarScorer(shifted_exemplars(q), idx, agg_mode=kind)
+    return intent_scorer(shifted_exemplars(q), idx, agg_mode=kind)
 
 
 class TestGrowthPrefilter:
@@ -427,13 +472,13 @@ class TestGrowthPrefilter:
         g, q = make_instance(rng, min_nodes=20, query_edges=4)
         idx = build_index(g, leaf_threshold=3)
         calls = []
-        score = _ContextualScorer.state_score
+        score = _PairTableScorer.state_score
 
         def counted(self, nmap, sig):
             calls.append(sig)
             return score(self, nmap, sig)
 
-        monkeypatch.setattr(_ContextualScorer, "state_score", counted)
+        monkeypatch.setattr(_PairTableScorer, "state_score", counted)
         audit = SearchAudit()
         topk_search(q, idx, SearchParams(k=3), audit=audit)
         growth = sum(kind == "growth" for kind, _, _ in audit.prunes)
