@@ -32,7 +32,6 @@ for e, (u, v) in enumerate(west.edges):
 # adjacency is precomputed per node and per edge
 print("edges at node a1:", west.incident[0])
 print("edges sharing an endpoint with edge 0:", west.adjacent_edges(0))
-print("neighborhood of edge 0 (radius 1):", west.neighborhood_edges(0))
 
 # the same graph through the file format: a schema file plus nodes/edges TSVs
 tmp = Path(tempfile.mkdtemp())

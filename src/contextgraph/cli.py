@@ -3,9 +3,9 @@
 Subcommands: build-index, query, range, oracle, intent, stats.
 Results go to stdout as JSON-lines (default) or TSV; diagnostics go to
 stderr; the exit status is 0 exactly when the command succeeded. The build
-options (--branching, --leaf-threshold, --buckets, --bins) apply only when
-the target is built from files: an --index file keeps the ones it was built
-with, so giving them together with --index is an error.
+options (--branching, --leaf-threshold, --bins) apply only when the target
+is built from files: an --index file keeps the ones it was built with, so
+giving them together with --index is an error.
 """
 
 import argparse
@@ -69,13 +69,12 @@ def _add_target_args(p):
 
 # each defaults to None, so build_index's own default applies and an option
 # given together with --index can be told apart from one left out
-BUILD_OPTIONS = ("branching", "leaf_threshold", "buckets", "bins")
+BUILD_OPTIONS = ("branching", "leaf_threshold", "bins")
 
 
 def _add_build_args(p):
     p.add_argument("--branching", type=int)
     p.add_argument("--leaf-threshold", type=int)
-    p.add_argument("--buckets", type=int)
     p.add_argument("--bins", type=int)
 
 

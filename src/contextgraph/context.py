@@ -100,13 +100,12 @@ class NullModel:
         return self.tables[i].get(key, self.floor)
 
 
-def estimate_null_model(g, binner=None, bins=10):
+def estimate_null_model(g, bins=10):
     """Estimate the pair-value null model of a target graph."""
     m = g.n_edges
     if m == 0:
         raise ValueError("null model needs a target with at least one edge")
-    if binner is None:
-        binner = fit_binner(g, bins)
+    binner = fit_binner(g, bins)
     tables = []
     for i in range(len(g.schema)):
         counts = edge_feature_counts(g, i, binner)

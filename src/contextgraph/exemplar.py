@@ -103,7 +103,7 @@ def averaged_weights(weight_list):
 
 
 def exemplar_similarity(m, es, g_t, nm, weight_mode="individual",
-                        agg_mode="min", strict_zero=False):
+                        agg_mode="min"):
     """Aggregate contextual similarity of one mapping across all exemplars.
 
     weight_mode selects per-exemplar weights or their average; agg_mode
@@ -116,7 +116,7 @@ def exemplar_similarity(m, es, g_t, nm, weight_mode="individual",
     elif weight_mode != "individual":
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
     scores = [contextual_graph_similarity(es.translate(m, i), es.graphs[i],
-                                          g_t, per[i], strict_zero)
+                                          g_t, per[i])
               for i in range(len(es))]
     if agg_mode == "min":
         return min(scores)
@@ -150,24 +150,22 @@ def detect_exact_match_features(es):
     return tuple(out)
 
 
+def _aligned_vectors(es):
+    """Each exemplar's association vectors, in the first exemplar's edge ids."""
+    return [[assoc[e] for e in emap] for assoc, emap in
+            zip(map(association_vectors, es.graphs), es.edge_maps)]
+
+
+def _exact_relation(es, aligned):
+    first = aligned[0]
+    return tuple(f for f in range(len(es.graphs[0].schema))
+                 if all(vecs[e][f] == first[e][f]
+                        for vecs in aligned[1:] for e in range(len(first))))
+
+
 def detect_exact_relation_features(es):
     """Features whose association components agree edgewise across exemplars."""
-    assoc = [association_vectors(g) for g in es.graphs]
-    first = es.graphs[0]
-    out = []
-    for f in range(len(first.schema)):
-        ok = True
-        for i in range(1, len(es)):
-            emap = es.edge_maps[i]
-            for e in range(first.n_edges):
-                if assoc[0][e][f] != assoc[i][emap[e]][f]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(f)
-    return tuple(out)
+    return _exact_relation(es, _aligned_vectors(es))
 
 
 @dataclass
@@ -187,8 +185,12 @@ class HybridContext:
 
 def hybrid_context(es, nm):
     """Detect filter features and reweight the remaining context features."""
+    return _hybrid_context(es, nm, _aligned_vectors(es))
+
+
+def _hybrid_context(es, nm, aligned):
     em = detect_exact_match_features(es)
-    er = detect_exact_relation_features(es)
+    er = _exact_relation(es, aligned)
     excluded = set(em) | set(er)
     per = exemplar_weights(es, nm)
     d = len(es.graphs[0].schema)
@@ -225,14 +227,14 @@ def intent_topk(es, index, params=None, weight_mode="individual",
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
     if agg_mode not in ("min", "mean"):
         raise ValueError(f"unknown agg_mode {agg_mode!r}")
-    hc = context if context is not None else hybrid_context(es, index.null_model)
+    # computed once: they also decide the exact-relation features
+    q_assocs = _aligned_vectors(es)
+    hc = (context if context is not None
+          else _hybrid_context(es, index.null_model, q_assocs))
     per = hc.per_weights
     if weight_mode == "averaged":
         per = [averaged_weights(per)] * len(es)
     order_w = hc.weights if sum(hc.weights) > 0.0 else averaged_weights(per)
-    # query association vectors per exemplar, in the first exemplar's edge ids
-    q_assocs = [[assoc[e] for e in emap] for assoc, emap in
-                zip(map(association_vectors, es.graphs), es.edge_maps)]
     scorer = _PairTableScorer(q_assocs, index, per, order_w, agg_mode == "min")
     em, er = (hc.exact_match, hc.exact_relation) if use_filters else ((), ())
     return _search(es.graphs[0], index, scorer, k=params.k, audit=audit,

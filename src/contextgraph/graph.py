@@ -144,25 +144,6 @@ class Graph:
         out.discard(e)
         return tuple(sorted(out))
 
-    def neighborhood_edges(self, e, radius=1):
-        """Edges within `radius` hops of e in the edge-adjacency graph."""
-        if radius < 1:
-            raise ValueError("radius must be >= 1")
-        seen = {e}
-        frontier = [e]
-        for _ in range(radius):
-            nxt = []
-            for f in frontier:
-                for g in self.adjacent_edges(f):
-                    if g not in seen:
-                        seen.add(g)
-                        nxt.append(g)
-            frontier = nxt
-            if not frontier:
-                break
-        seen.discard(e)
-        return tuple(sorted(seen))
-
 
 def load_schema(path):
     """Read a schema JSON file; returns (FeatureSchema, directed flag)."""

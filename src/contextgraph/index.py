@@ -6,16 +6,18 @@ of its edges' association vectors, so the best edge similarity under a node
 can be bounded without visiting it. The association vectors themselves are
 kept as one (m, d) float64 array, row e being edge e's vector, which the
 searches compare against the query's edges in one pass per query. The index
-also keeps per-edge neighborhood summaries, bucketed histograms of the
-association values around an edge, used to order seed candidates; they are
-one int32 array of shape (m, d, buckets), row e being edge e's summary.
+also keeps per-edge neighborhood summaries, histograms of the association
+values on the adjacent edges in BUCKETS buckets, used to order the seed
+candidates of a leaf; they are one int32 array of shape (m, d, BUCKETS), row
+e being edge e's summary.
 
 Index files start with the magic bytes CGQ1, a format version, and a length
 prefix; the payload is a compressed JSON document holding only the target
 graph and the build parameters. Everything else is derived from those, so
 load_index rebuilds the index, which yields the same null model, vectors,
-summaries and tree as the saved one. Files of format version 1, which also
-stored the derived data, are rejected.
+summaries and tree as the saved one. Files of an older format version are
+rejected: version 1 also stored the derived data, and version 2 also stored
+a bucket count.
 """
 
 import json
@@ -30,7 +32,9 @@ from .graph import CATEGORICAL_SET, FeatureSchema, Graph
 from .similarity import association_vectors
 
 MAGIC = b"CGQ1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# histogram buckets of a neighborhood summary
+BUCKETS = 10
 
 
 class IndexFileError(ValueError):
@@ -152,21 +156,21 @@ def construct_tree(assoc, edge_ids, branching=4, leaf_threshold=100):
     return build(ids)
 
 
-def bucket_index(values, buckets):
+def bucket_index(values):
     """0-based histogram bucket of association values in [0, 1].
 
-    Works on a scalar or an array. Bucket j covers (j/buckets, (j+1)/buckets];
+    Works on a scalar or an array. Bucket j covers (j/BUCKETS, (j+1)/BUCKETS];
     zero lands in bucket 0. Comparison against exact bucket boundaries avoids
     multiply-then-ceil rounding surprises at values like 0.9.
     """
-    bounds = np.arange(1, buckets + 1) / buckets
-    return np.minimum(np.searchsorted(bounds, values), buckets - 1)
+    bounds = np.arange(1, BUCKETS + 1) / BUCKETS
+    return np.minimum(np.searchsorted(bounds, values), BUCKETS - 1)
 
 
-def neighborhood_summary(g, buckets=10, assoc=None):
+def neighborhood_summary(g, assoc=None):
     """Per-edge, per-feature histograms of association values on the adjacent edges.
 
-    Returns an int32 array of shape (m, d, buckets): row e holds edge e's d
+    Returns an int32 array of shape (m, d, BUCKETS): row e holds edge e's d
     rows of bucket counts over the edges sharing an endpoint with it. All
     edges come from one pass: each node sums the one-hot buckets of its
     incident edges, and an edge's histogram is the sum of its two endpoints'
@@ -177,10 +181,10 @@ def neighborhood_summary(g, buckets=10, assoc=None):
         assoc = association_vectors(g)
     m, d = g.n_edges, len(g.schema)
     ends = np.asarray(g.edges, dtype=np.intp).reshape(m, 2)
-    ids = bucket_index(np.asarray(assoc, dtype=float).reshape(m, d), buckets)
-    onehot = np.zeros((m, d, buckets), dtype=np.int32)
+    ids = bucket_index(np.asarray(assoc, dtype=float).reshape(m, d))
+    onehot = np.zeros((m, d, BUCKETS), dtype=np.int32)
     onehot[np.arange(m)[:, None], np.arange(d), ids] = 1
-    per_node = np.zeros((g.n_nodes, d, buckets), dtype=np.int32)
+    per_node = np.zeros((g.n_nodes, d, BUCKETS), dtype=np.int32)
     np.add.at(per_node, ends, onehot[:, None])
     hist = per_node[ends[:, 0]] + per_node[ends[:, 1]] - 2 * onehot
     if g.directed:
@@ -221,7 +225,6 @@ def neighborhood_similarity(summary_q, summary_t, weights):
 class IndexParams:
     branching: int = 4
     leaf_threshold: int = 100
-    buckets: int = 10
     bins: int = 10
 
 
@@ -229,7 +232,7 @@ class EdgeIndex:
     """Searchable bundle: target graph, null model, association data, tree.
 
     assoc is the (m, d) float64 array of the target's association vectors,
-    row e being edge e's; summaries is the int32 (m, d, buckets) array of
+    row e being edge e's; summaries is the int32 (m, d, BUCKETS) array of
     its neighborhood summaries.
     """
 
@@ -263,21 +266,18 @@ class EdgeIndex:
             "max_leaf_size": max(size for _, size in leaves),
             "branching": self.params.branching,
             "leaf_threshold": self.params.leaf_threshold,
-            "buckets": self.params.buckets,
             "bins": self.params.bins,
         }
 
 
-def build_index(g, branching=4, leaf_threshold=100, buckets=10, bins=10):
+def build_index(g, branching=4, leaf_threshold=100, bins=10):
     """Build the full index of a target graph."""
     if g.n_edges == 0:
         raise ValueError("cannot index a graph without edges")
-    if buckets < 1:
-        raise ValueError("buckets must be >= 1")
-    params = IndexParams(branching, leaf_threshold, buckets, bins)
+    params = IndexParams(branching, leaf_threshold, bins)
     null_model = estimate_null_model(g, bins=bins)
     assoc = np.asarray(association_vectors(g), dtype=float)
-    summaries = neighborhood_summary(g, buckets, assoc)
+    summaries = neighborhood_summary(g, assoc)
     root = construct_tree(assoc, range(g.n_edges), branching, leaf_threshold)
     return EdgeIndex(g, params, null_model, assoc, summaries, root)
 

@@ -191,7 +191,19 @@ def _rank_all(q, g, scorer, weights, null_model, bins, deadline):
         score = lambda m: traditional_graph_similarity(m, q, g)
     else:
         raise ValueError(f"unknown scorer {scorer!r}")
-    ranked = sorted(((score(m), m) for m in maps),
+
+    def represent(m):
+        # a one-pair signature can be maximal in both orientations of an
+        # undirected seed; the indexed engine offers the one it pops first,
+        # the best-scoring, or the first _seed_orientations yields on ties
+        if len(m.edge_pairs) > 1:
+            return m
+        sig = m.signature()
+        ((qe, te),) = sig
+        return max((Mapping(ori, sig) for ori in _seed_orientations(q, g, qe, te)
+                    if not _extensions(q, g, dict(ori), sig)), key=score)
+
+    ranked = sorted(((score(m), m) for m in map(represent, maps)),
                     key=lambda t: (-t[0], t[1].signature()))
     return ranked
 
@@ -411,15 +423,15 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     once, when it is made (pair_similarity_table), so pair_gain and
     state_score only read them by index.
     Each leaf the tree descent reaches puts every seed it holds for the
-    current query edge into one growth queue, in neighborhood-similarity
-    order, and grows that queue until its best bound cannot beat the answer
-    threshold. Before ordering, a leaf entry te is dropped, as one seed
-    prune, when seed_bound(pair_gain(qe, te, ())) is at most the threshold:
-    that bound is at least the state bound of each of its seed orientations,
-    so none of them could have entered the queue. The entries that remain
-    are ordered, oriented and scored as before, and each orientation is cut
-    on its own state bound, so the queue receives the same seeds in the same
-    order.
+    current query edge into one growth queue and grows that queue until its
+    best bound cannot beat the answer threshold. A leaf entry te is first
+    dropped, as one seed prune, when seed_bound(pair_gain(qe, te, ())) is at
+    most the threshold: that bound is at least the state bound of each of
+    its seed orientations, so none of them could have entered the queue. The
+    entries that remain are ordered by neighborhood similarity to qe, best
+    first, ties by edge id, then oriented and scored, and each orientation
+    is cut on its own state bound. The queue pops by bound, so this order
+    only ranks seeds of equal bound.
     Growth prunes a child in two stages. The first bounds it from its parent
     alone, state_bound(parent score + pair_gain, ...) + _growth_slack(m_q),
     and drops it before its signature is built, remembered or scored; the
@@ -446,7 +458,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         audit.prunes.append((kind, bound, ans.least()))
 
     q_assoc = scorer.q_assoc
-    q_summaries = neighborhood_summary(q, index.params.buckets, q_assoc).tolist()
+    q_summaries = neighborhood_summary(q, q_assoc).tolist()
     order_w = scorer.order_weights
     summaries = index.summaries
     if exact_relation:
@@ -526,15 +538,10 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         # an entry whose pair value alone cannot beat the answer threshold
         # is dropped first, before it is ordered or oriented; answers are
         # offered only in grow, so the floor stays put while the leaf's seeds
-        # are gathered. The rest are ordered best first, so that seeds of
-        # equal bound enter the growth queue in this order; neighborhood
-        # similarity ties break toward edges whose endpoint values equal the
-        # query edge's exactly, since those complete to top-scoring mappings
-        # fastest and tighten the answer threshold
+        # are gathered. The rest are ordered by neighborhood similarity, best
+        # first, ties by edge id; the queue pops by bound, so the order only
+        # ranks seeds of equal bound
         floor = ans.floor()
-        qu, qv = q.edges[qe]
-        fu = q.node_features[qu]
-        fv = q.node_features[qv]
         keep = relation_ok[qe] if exact_relation else None
         scored = []
         for te in node.entries:
@@ -547,15 +554,10 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                 continue
             ns = neighborhood_similarity(q_summaries[qe], summaries[te].tolist(),
                                          order_w)
-            a, b = g.edges[te]
-            fa = g.node_features[a]
-            fb = g.node_features[b]
-            exact = (fa == fu and fb == fv) or (
-                not g.directed and fa == fv and fb == fu)
-            scored.append((-ns, 0 if exact else 1, te))
+            scored.append((-ns, te))
         scored.sort()
         pq = []
-        for _, _, te in scored:
+        for _, te in scored:
             for ori in _seed_orientations(q, g, qe, te):
                 if exact_match and any(
                         q.node_features[qn][f] != g.node_features[tn][f]

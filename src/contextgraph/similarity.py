@@ -131,7 +131,7 @@ class ScoredMatch:
     score: float
 
 
-def contextual_graph_similarity(m, q, g_t, weights, strict_zero=False):
+def contextual_graph_similarity(m, q, g_t, weights):
     """Sum of weighted edge similarities over the mapping's matched pairs.
 
     Pairs are visited in signature order so the value is reproducible
@@ -140,8 +140,7 @@ def contextual_graph_similarity(m, q, g_t, weights, strict_zero=False):
     total = 0.0
     for qe, te in sorted(m.edge_pairs):
         total += edge_similarity(association_vector(q, qe),
-                                 association_vector(g_t, te),
-                                 weights, strict_zero)
+                                 association_vector(g_t, te), weights)
     return total
 
 

@@ -87,14 +87,17 @@ class TestBuildIndex:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("buckets", [0, -1])
-    def test_rejects_bucket_count_below_one(self, tmp_path, capsys, buckets):
+    @pytest.mark.parametrize("command",
+                             ["build-index", "query", "range", "intent", "stats"])
+    def test_bucket_count_is_no_option(self, tmp_path, capsys, command):
+        # the summaries' bucket count is a constant of the index module
         paths, _, _ = write_instance(tmp_path)
-        code = run(["build-index", "--schema", paths["schema"], "--nodes",
+        required = ["--r", 1] if command == "range" else []
+        code = run([command, "--schema", paths["schema"], "--nodes",
                     paths["nodes"], "--edges", paths["edges"],
-                    "--index", paths["index"], "--buckets", buckets])
-        assert code == 1
-        assert "error: buckets must be >= 1" in capsys.readouterr().err
+                    "--index", paths["index"], "--buckets", 5] + required)
+        assert code == 2
+        assert "unrecognized arguments: --buckets" in capsys.readouterr().err
         assert not paths["index"].exists()
 
 
@@ -384,7 +387,7 @@ class TestStats:
 
 @pytest.mark.parametrize("command, option", [
     ("query", "--branching"), ("query", "--leaf-threshold"),
-    ("query", "--buckets"), ("query", "--bins"), ("oracle", "--bins")])
+    ("query", "--bins"), ("oracle", "--bins")])
 def test_build_option_with_index_is_rejected(tmp_path, capsys, command, option):
     # an index file rebuilds with the options it was saved with, so a build
     # option next to --index would be silently ignored
@@ -411,3 +414,16 @@ def test_documented_subcommands_match_parser():
     assert set(docstring.split(", ")) == set(sub.choices)
     assert set(re.findall(r"`([^`]+)`", bullet)) - {"contextgraph"} == \
         set(sub.choices)
+
+
+def test_documented_build_options_match_parser():
+    p = argparse.ArgumentParser()
+    cg_cli._add_build_args(p)
+    options = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+    assert options == {"--" + name.replace("_", "-")
+                       for name in cg_cli.BUILD_OPTIONS}
+    docstring = re.search(r"build\s+options \(([^)]+)\)", cg_cli.__doc__).group(1)
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    sentence = re.search(r"The build options (.+?)\s+apply", readme, re.S).group(1)
+    assert set(re.split(r",\s+", docstring)) == options
+    assert set(re.findall(r"`([^`]+)`", sentence)) == options

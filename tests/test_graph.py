@@ -124,25 +124,16 @@ class TestAdjacency:
         with pytest.raises(ValueError):
             g.adjacent_edges(99)
 
-    def test_neighborhood_radius_one_equals_adjacency(self, collab_query):
-        for e in range(3):
-            assert (tuple(sorted(collab_query.neighborhood_edges(e)))
-                    == collab_query.adjacent_edges(e))
-
     def test_neighborhood_isolated_edge(self):
         g = Graph(False, PLAIN, [(0.0,), (1.0,), (2.0,), (3.0,)],
                   [(0, 1), (2, 3)])
-        assert g.neighborhood_edges(0) == ()
+        assert g.adjacent_edges(0) == ()
 
     def test_neighborhood_four_cycle(self):
         g = Graph(False, PLAIN, [(0.0,), (1.0,), (2.0,), (3.0,)],
                   [(0, 1), (1, 2), (2, 3), (3, 0)])
         for e in range(4):
-            assert len(g.neighborhood_edges(e)) == 2
-
-    def test_neighborhood_radius_two_reaches_path_end(self):
-        g = path_graph(5)
-        assert tuple(sorted(g.neighborhood_edges(0, radius=2))) == (1, 2)
+            assert len(g.adjacent_edges(e)) == 2
 
     def test_edge_between_both_orders_when_undirected(self):
         g = path_graph(3)

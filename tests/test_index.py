@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from contextgraph.graph import CATEGORICAL_SET, NUMERIC, FeatureSchema, Graph
-from contextgraph.index import (MBR, EdgeIndex, IndexFileError, TreeNode,
-                                bucket_index, build_index, construct_tree,
+from contextgraph.index import (BUCKETS, MBR, EdgeIndex, IndexFileError,
+                                TreeNode, bucket_index, build_index,
+                                construct_tree,
                                 load_index, mbr_of, mbr_similarity,
                                 neighborhood_similarity, neighborhood_summary,
                                 save_index)
@@ -56,16 +57,12 @@ class TestBuckets:
         (0.8, 7), (0.9, 8), (0.91, 9), (1.0, 9),
     ])
     def test_boundaries(self, value, expect):
-        assert bucket_index(value, 10) == expect
-
-    def test_single_bucket(self):
-        assert bucket_index(0.0, 1) == 0
-        assert bucket_index(1.0, 1) == 0
+        assert bucket_index(value) == expect
 
     def test_array_matches_scalars(self):
         values = [0.0, 0.05, 0.1, 0.1001, 0.55, 0.8, 0.9, 0.91, 1.0]
-        assert bucket_index(np.asarray(values), 10).tolist() == \
-            [bucket_index(v, 10) for v in values]
+        assert bucket_index(np.asarray(values)).tolist() == \
+            [bucket_index(v) for v in values]
 
 
 def leaf_entries(node):
@@ -222,7 +219,7 @@ class TestSummaries:
     def test_counts_total_neighbors(self):
         g = random_graph(np.random.default_rng(5), 16, 30)
         for e, s in enumerate(neighborhood_summary(g)):
-            deg = len(g.neighborhood_edges(e))
+            deg = len(g.adjacent_edges(e))
             for row in s:
                 assert sum(row) == deg
 
@@ -232,15 +229,15 @@ class TestSummaries:
         assert neighborhood_similarity(s, s, w) == pytest.approx(1.0)
 
     @staticmethod
-    def reference(g, buckets=10):
-        """Histograms built edge by edge from neighborhood_edges."""
+    def reference(g):
+        """Histograms built edge by edge from adjacent_edges."""
         assoc = association_vectors(g)
         out = []
         for e in range(g.n_edges):
-            hist = [[0] * buckets for _ in g.schema.names]
-            for other in g.neighborhood_edges(e):
+            hist = [[0] * BUCKETS for _ in g.schema.names]
+            for other in g.adjacent_edges(e):
                 for i, x in enumerate(assoc[other]):
-                    hist[i][bucket_index(x, buckets)] += 1
+                    hist[i][bucket_index(x)] += 1
             out.append(hist)
         return out
 
@@ -256,11 +253,10 @@ class TestSummaries:
                 edges = set(g.edges)
                 edges |= {(v, u) for u, v in g.edges if rng.random() < 0.5}
                 g = Graph(True, g.schema, g.node_features, sorted(edges))
-            buckets = int(rng.integers(1, 12))
-            summaries = neighborhood_summary(g, buckets)
-            assert summaries.shape == (g.n_edges, len(g.schema), buckets)
+            summaries = neighborhood_summary(g)
+            assert summaries.shape == (g.n_edges, len(g.schema), BUCKETS)
             assert summaries.dtype == np.int32
-            assert summaries.tolist() == self.reference(g, buckets)
+            assert summaries.tolist() == self.reference(g)
 
     def test_values_on_bucket_boundaries(self):
         # gamma gives 1/10 == 0.1 and 9/10 == 0.9 exactly: buckets 0 and 8
@@ -302,6 +298,12 @@ class TestBuildIndex:
         assert st["tree_nodes"] >= 1
         assert st["branching"] == 3
         assert st["max_leaf_size"] <= max(8, 1)
+        assert "buckets" not in st
+
+    def test_bucket_count_is_no_parameter(self):
+        g = random_graph(np.random.default_rng(6), 20, 35)
+        with pytest.raises(TypeError):
+            build_index(g, buckets=5)
 
     def test_rejects_empty_target(self):
         g = Graph(False, FeatureSchema(("t",), (CATEGORICAL_SET,)),
@@ -365,7 +367,7 @@ class TestPersistence:
         with pytest.raises(IndexFileError, match="magic"):
             load_index(path)
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_rejects_future_version(self, tmp_path, version):
         g = random_graph(np.random.default_rng(11), 10, 15)
         idx = build_index(g)
@@ -374,7 +376,7 @@ class TestPersistence:
         raw = bytearray(path.read_bytes())
         raw[4:8] = version.to_bytes(4, "little")
         path.write_bytes(bytes(raw))
-        with pytest.raises(IndexFileError, match="version"):
+        with pytest.raises(IndexFileError, match=f"version {version}"):
             load_index(path)
 
     def test_rejects_truncation(self, tmp_path):
@@ -420,7 +422,7 @@ class TestPersistence:
         with pytest.raises(IndexFileError, match="corrupt"):
             load_index(path)
 
-    @pytest.mark.parametrize("param, value", [("buckets", 0), ("branching", 1)])
+    @pytest.mark.parametrize("param, value", [("branching", 1)])
     def test_rejects_parameters_build_index_rejects(self, tmp_path, param, value):
         path = self.saved(tmp_path)
         edit_index_payload(path, lambda doc: doc["params"].update({param: value}))

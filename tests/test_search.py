@@ -13,7 +13,7 @@ import contextgraph.index as cg_index
 import contextgraph.search as cg_search
 from contextgraph.context import weight_vector
 from contextgraph.exemplar import ExemplarSet, hybrid_context, intent_topk
-from contextgraph.graph import CATEGORICAL, FeatureSchema, Graph
+from contextgraph.graph import CATEGORICAL, NUMERIC, FeatureSchema, Graph
 from contextgraph.index import build_index
 from contextgraph.search import (SearchAudit, SearchParams, SearchTimeout,
                                  _PairTableScorer, _TraditionalScorer,
@@ -283,6 +283,55 @@ class TestIndexedRange:
             range_search(q, idx, float("inf"))
 
 
+def listing(matches):
+    """(score, signature, node map) of every match, in the oracle's order."""
+    return sorted(((m.score, m.mapping.signature(),
+                    sorted(m.mapping.node_map.items())) for m in matches),
+                  key=lambda t: (-t[0], t[1]))
+
+
+class TestOnePairOrientation:
+    """A one-pair signature maximal in both orientations of an undirected
+    seed: the oracle reports the orientation the indexed engine offers, the
+    best-scoring one, or the first _seed_orientations yields on ties."""
+
+    @staticmethod
+    def assert_engines_agree(q, g, idx, scorer):
+        params = SearchParams(k=10 ** 9, scorer=scorer)
+        want = naive_range(q, g, 0.0, scorer=scorer)
+        assert listing(range_search(q, idx, 0.0, params)) == listing(want)
+        assert listing(topk_search(q, idx, params)) == listing(want)
+        assert listing(naive_topk(q, g, 10 ** 9, scorer=scorer)) == listing(want)
+
+    def test_path_onto_single_edge(self):
+        schema = FeatureSchema(("x",), (NUMERIC,))
+        q = Graph(False, schema, [(1.0,), (2.0,), (3.0,)], [(0, 1), (1, 2)])
+        g = Graph(False, schema, [(1.0,), (5.0,)], [(0, 1)])
+        idx = build_index(g)
+        want = naive_topk(q, g, 5, scorer="traditional")
+        assert [m.score for m in want] == pytest.approx([2.4, 2.1])
+        assert [m.mapping.node_map for m in want] == [{0: 0, 1: 1}, {1: 0, 2: 1}]
+        for scorer in ("contextual", "traditional"):
+            self.assert_engines_agree(q, g, idx, scorer)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scorer=st.sampled_from(("contextual", "traditional")))
+    def test_sparse_targets_with_isolated_edges(self, seed, scorer):
+        rng = np.random.default_rng(seed)
+        core = int(rng.integers(3, 9))
+        isolated = int(rng.integers(1, 4))
+        base = random_graph(rng, core + 2 * isolated, int(rng.integers(1, core)))
+        # keep the sparse edges among the first nodes, then pair the rest
+        # off into edges that touch no other edge
+        edges = [(u, v) for u, v in base.edges if v < core]
+        edges += [(core + 2 * i, core + 2 * i + 1) for i in range(isolated)]
+        g = Graph(False, base.schema, base.node_features, edges)
+        q = grow_query(random_graph(rng, 6, 8), int(rng.integers(1, 4)), rng)
+        idx = build_index(g, leaf_threshold=int(rng.integers(1, 6)))
+        self.assert_engines_agree(q, g, idx, scorer)
+
+
 class TestEdgelessQuery:
     @pytest.mark.parametrize("directed", [False, True])
     def test_every_search_returns_nothing(self, directed):
@@ -376,6 +425,24 @@ class TestQueryVectors:
             monkeypatch.setattr(mod, "association_vectors", counted)
         intent_topk(es, idx, SearchParams(k=3), context=context)
         assert len(calls) == len(es)
+        assert all(a is b for a, b in zip(calls, es.graphs))
+
+    def test_computed_once_per_exemplar_without_context(self, monkeypatch):
+        # the vectors that decide the exact-relation features also score
+        rng = np.random.default_rng(23)
+        g, q = make_instance(rng)
+        idx = build_index(g, leaf_threshold=3)
+        es = shifted_exemplars(q)
+        calls = []
+
+        def counted(graph, _fn=cg_search.association_vectors):
+            calls.append(graph)
+            return _fn(graph)
+
+        for mod in (cg_search, cg_index, cg_exemplar):
+            monkeypatch.setattr(mod, "association_vectors", counted)
+        intent_topk(es, idx, SearchParams(k=3))
+        assert len(calls) == len(es) == 2
         assert all(a is b for a, b in zip(calls, es.graphs))
 
 
