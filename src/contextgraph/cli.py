@@ -3,8 +3,8 @@
 Subcommands: build-index, query, range, oracle, intent, stats.
 Results go to stdout as JSON-lines (default) or TSV; diagnostics go to
 stderr; the exit status is 0 exactly when the command succeeded. The build
-options (--branching, --leaf-threshold, --bins) apply only when the target
-is built from files: an --index file keeps the ones it was built with, so
+options (--branching, --leaf-threshold) apply only when the target is
+built from files: an --index file keeps the ones it was built with, so
 giving them together with --index is an error.
 """
 
@@ -15,8 +15,8 @@ import time
 
 from .context import weight_vector
 from .exemplar import ExemplarSet, hybrid_context, intent_topk, load_bijections
-from .graph import GraphLoadError, load_graph, load_schema
-from .index import IndexFileError, build_index, load_index, save_index
+from .graph import load_graph, load_schema
+from .index import build_index, load_index, save_index
 from .search import (SearchParams, naive_range, naive_topk, range_search,
                      topk_search)
 
@@ -69,13 +69,12 @@ def _add_target_args(p):
 
 # each defaults to None, so build_index's own default applies and an option
 # given together with --index can be told apart from one left out
-BUILD_OPTIONS = ("branching", "leaf_threshold", "bins")
+BUILD_OPTIONS = ("branching", "leaf_threshold")
 
 
 def _add_build_args(p):
     p.add_argument("--branching", type=int)
     p.add_argument("--leaf-threshold", type=int)
-    p.add_argument("--bins", type=int)
 
 
 def _build_kwargs(args):
@@ -92,6 +91,14 @@ def _add_search_args(p):
 
 def _add_format_arg(p):
     p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
+
+
+def _load_target(args, missing):
+    """The target graph of --schema/--nodes/--edges; CliError(missing) without them."""
+    if not (args.schema and args.nodes and args.edges):
+        raise CliError(missing)
+    schema, directed = load_schema(args.schema)
+    return load_graph(args.nodes, args.edges, schema, directed)
 
 
 def _load_query(nodes_path, edges_path, schema, directed):
@@ -112,10 +119,7 @@ def _resolve_index(args):
             raise CliError(f"{option} cannot be used with --index: an index "
                            f"file keeps the options it was built with")
         return load_index(args.index)
-    if not (args.schema and args.nodes and args.edges):
-        raise CliError("need --index or all of --schema, --nodes, --edges")
-    schema, directed = load_schema(args.schema)
-    g = load_graph(args.nodes, args.edges, schema, directed)
+    g = _load_target(args, "need --index or all of --schema, --nodes, --edges")
     return build_index(g, **_build_kwargs(args))
 
 
@@ -150,13 +154,10 @@ def _match_record(match, rank, g, q):
 
 
 def cmd_build_index(args):
-    if not (args.schema and args.nodes and args.edges):
-        raise CliError("build-index needs --schema, --nodes, and --edges")
     if not args.index:
         raise CliError("build-index needs --index for the output path")
-    schema, directed = load_schema(args.schema)
     t0 = time.perf_counter()
-    g = load_graph(args.nodes, args.edges, schema, directed)
+    g = _load_target(args, "build-index needs --schema, --nodes, and --edges")
     index = build_index(g, **_build_kwargs(args))
     built = time.perf_counter() - t0
     save_index(index, args.index)
@@ -199,28 +200,23 @@ def cmd_search(args):
 
 
 def cmd_oracle(args):
-    index = None
+    null_model = None
     if args.index:
         index = _resolve_index(args)
-        g = index.graph
+        g, null_model = index.graph, index.null_model
     else:
-        if not (args.schema and args.nodes and args.edges):
-            raise CliError("oracle needs --index or target files")
-        schema, directed = load_schema(args.schema)
-        g = load_graph(args.nodes, args.edges, schema, directed)
+        g = _load_target(args, "oracle needs --index or target files")
     if g.n_edges > ORACLE_EDGE_CAP and not args.force:
         raise CliError(f"target has {g.n_edges} edges; the exhaustive oracle "
                        f"refuses more than {ORACLE_EDGE_CAP} without --force")
     q = _load_query(args.query_nodes, args.query_edges, g.schema, g.directed)
-    null_model = index.null_model if index is not None else None
-    options = _build_kwargs(args)
     t0 = time.perf_counter()
     if args.r is not None:
         matches = naive_range(q, g, args.r, scorer=args.scorer,
-                              null_model=null_model, **options)
+                              null_model=null_model)
     else:
         matches = naive_topk(q, g, args.k, scorer=args.scorer,
-                             null_model=null_model, **options)
+                             null_model=null_model)
     elapsed = time.perf_counter() - t0
     writer = _Writer(args.format)
     writer.emit({"record": "header", "command": "oracle", "k": args.k,
@@ -315,7 +311,6 @@ def build_parser():
     _add_target_args(p)
     _add_search_args(p)
     _add_format_arg(p)
-    p.add_argument("--bins", type=int)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--force", action="store_true",
                    help="run even on large targets")
@@ -356,10 +351,8 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (CliError, GraphLoadError, IndexFileError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    # GraphLoadError, IndexFileError and ExemplarError are ValueErrors
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

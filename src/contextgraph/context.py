@@ -1,16 +1,19 @@
 """Target-side context learning.
 
 The null model of a target graph records, per feature, how often each unordered
-pair of endpoint values occurs across edges (numeric values first replaced by
-equal-frequency bin indices). A query is scored against that model with a
-chi-square statistic per feature; normalized statistics become the weight
-vector used by all contextual scoring.
+pair of endpoint values occurs across edges. Numeric values are first replaced
+by their decile among the target's values, one of BINS equal-frequency bins.
+A query is scored against that model with a chi-square statistic per feature;
+normalized statistics become the weight vector used by all contextual scoring.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
 
 from .graph import NUMERIC
+
+# equal-frequency bins of a numeric feature
+BINS = 10
 
 
 class Binner:
@@ -39,10 +42,8 @@ class Binner:
         return isinstance(other, Binner) and self.cuts == other.cuts
 
 
-def fit_binner(g, bins=10):
+def fit_binner(g):
     """Fit per-feature quantile cut points on the target's numeric node values."""
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
     cuts = []
     for i, kind in enumerate(g.schema.kinds):
         if kind != NUMERIC:
@@ -50,7 +51,7 @@ def fit_binner(g, bins=10):
             continue
         vals = sorted(row[i] for row in g.node_features)
         m = len(vals)
-        raw = [vals[j * m // bins] for j in range(1, bins)]
+        raw = [vals[j * m // BINS] for j in range(1, BINS)]
         # drop duplicates and cuts at the minimum; both would leave empty bins
         kept = []
         for c in raw:
@@ -100,12 +101,12 @@ class NullModel:
         return self.tables[i].get(key, self.floor)
 
 
-def estimate_null_model(g, bins=10):
+def estimate_null_model(g):
     """Estimate the pair-value null model of a target graph."""
     m = g.n_edges
     if m == 0:
         raise ValueError("null model needs a target with at least one edge")
-    binner = fit_binner(g, bins)
+    binner = fit_binner(g)
     tables = []
     for i in range(len(g.schema)):
         counts = edge_feature_counts(g, i, binner)

@@ -32,6 +32,9 @@ class FeatureSchema:
             raise GraphLoadError("schema names and kinds differ in length")
         if len(self.names) == 0:
             raise GraphLoadError("schema needs at least one feature")
+        for name in self.names:
+            if not isinstance(name, str) or name == "":
+                raise GraphLoadError(f"feature name must be a non-empty string, got {name!r}")
         if len(set(self.names)) != len(self.names):
             raise GraphLoadError("duplicate feature name in schema")
         for kind in self.kinds:
@@ -72,7 +75,8 @@ class Graph:
 
     node_features[u] is the feature tuple of node u, edges[e] the (src, dst)
     pair of edge e. Undirected graphs store each edge once; (u, v) and (v, u)
-    are the same edge.
+    are the same edge. incident[u] lists the ids of the edges at node u once
+    each, in ascending order; search relies on that order.
     """
 
     def __init__(self, directed, schema, node_features, edges, node_ids=None):
@@ -150,7 +154,7 @@ def load_schema(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise GraphLoadError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or "features" not in doc:
         raise GraphLoadError(f"{path}: schema must be an object with a 'features' list")
@@ -163,7 +167,9 @@ def load_schema(path):
             raise GraphLoadError(f"{path}: each feature needs 'name' and 'kind'")
         names.append(item["name"])
         kinds.append(item["kind"])
-    directed = bool(doc.get("directed", False))
+    directed = doc.get("directed", False)
+    if not isinstance(directed, bool):
+        raise GraphLoadError(f"{path}: 'directed' must be true or false, got {directed!r}")
     return FeatureSchema(tuple(names), tuple(kinds)), directed
 
 

@@ -16,8 +16,8 @@ prefix; the payload is a compressed JSON document holding only the target
 graph and the build parameters. Everything else is derived from those, so
 load_index rebuilds the index, which yields the same null model, vectors,
 summaries and tree as the saved one. Files of an older format version are
-rejected: version 1 also stored the derived data, and version 2 also stored
-a bucket count.
+rejected: version 1 also stored the derived data, version 2 also stored a
+bucket count, and version 3 a bin count.
 """
 
 import json
@@ -32,7 +32,7 @@ from .graph import CATEGORICAL_SET, FeatureSchema, Graph
 from .similarity import association_vectors
 
 MAGIC = b"CGQ1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # histogram buckets of a neighborhood summary
 BUCKETS = 10
 
@@ -225,7 +225,6 @@ def neighborhood_similarity(summary_q, summary_t, weights):
 class IndexParams:
     branching: int = 4
     leaf_threshold: int = 100
-    bins: int = 10
 
 
 class EdgeIndex:
@@ -266,16 +265,15 @@ class EdgeIndex:
             "max_leaf_size": max(size for _, size in leaves),
             "branching": self.params.branching,
             "leaf_threshold": self.params.leaf_threshold,
-            "bins": self.params.bins,
         }
 
 
-def build_index(g, branching=4, leaf_threshold=100, bins=10):
+def build_index(g, branching=4, leaf_threshold=100):
     """Build the full index of a target graph."""
     if g.n_edges == 0:
         raise ValueError("cannot index a graph without edges")
-    params = IndexParams(branching, leaf_threshold, bins)
-    null_model = estimate_null_model(g, bins=bins)
+    params = IndexParams(branching, leaf_threshold)
+    null_model = estimate_null_model(g)
     assoc = np.asarray(association_vectors(g), dtype=float)
     summaries = neighborhood_summary(g, assoc)
     root = construct_tree(assoc, range(g.n_edges), branching, leaf_threshold)

@@ -89,9 +89,11 @@ def _seed_orientations(q, g, qe, te):
 def _extensions(q, g, nmap, pairs):
     """All single-pair extensions of a connected mapping.
 
-    Returns sorted (query edge, target edge, new node assignments) triples.
-    A query edge qualifies when at least one endpoint is mapped; the target
-    edge must be unused, direction-consistent, and respect injectivity.
+    Returns (query edge, target edge, new node assignments) triples in
+    ascending (query edge, target edge) order, with no pair twice: query edges
+    are visited in order and Graph.incident lists ascend. A query edge
+    qualifies when at least one endpoint is mapped; the target edge must be
+    unused, direction-consistent, and respect injectivity.
     """
     out = []
     used_te = {te for _, te in pairs}
@@ -133,7 +135,6 @@ def _extensions(q, g, nmap, pairs):
             if cand in mapped_targets:
                 continue
             out.append((qe, te, ((free_q, cand),)))
-    out.sort()
     return out
 
 
@@ -179,12 +180,12 @@ def enumerate_mcs(q, g, deadline=None):
     return [found[sig] for sig in sorted(found)]
 
 
-def _rank_all(q, g, scorer, weights, null_model, bins, deadline):
+def _rank_all(q, g, scorer, weights, null_model, deadline):
     maps = enumerate_mcs(q, g, deadline)
     if scorer == "contextual":
         if weights is None:
             if null_model is None:
-                null_model = estimate_null_model(g, bins=bins)
+                null_model = estimate_null_model(g)
             weights = weight_vector(q, null_model)
         score = lambda m: contextual_graph_similarity(m, q, g, weights)
     elif scorer == "traditional":
@@ -209,7 +210,7 @@ def _rank_all(q, g, scorer, weights, null_model, bins, deadline):
 
 
 def naive_topk(q, g, k, scorer="contextual", weights=None, null_model=None,
-               bins=10, deadline=None):
+               deadline=None):
     """Reference top-k: exhaustive enumeration, then rank and cut.
 
     Ties break on the canonical signature. The score of each match is the
@@ -217,14 +218,16 @@ def naive_topk(q, g, k, scorer="contextual", weights=None, null_model=None,
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ranked = _rank_all(q, g, scorer, weights, null_model, bins, deadline)
+    ranked = _rank_all(q, g, scorer, weights, null_model, deadline)
     return [ScoredMatch(m, s) for s, m in ranked[:k]]
 
 
 def naive_range(q, g, r, scorer="contextual", weights=None, null_model=None,
-                bins=10, deadline=None):
+                deadline=None):
     """Reference range query: every maximal mapping scoring at least r."""
-    ranked = _rank_all(q, g, scorer, weights, null_model, bins, deadline)
+    if not math.isfinite(r):
+        raise ValueError("r must be finite")
+    ranked = _rank_all(q, g, scorer, weights, null_model, deadline)
     return [ScoredMatch(m, s) for s, m in ranked if s >= r]
 
 

@@ -58,6 +58,7 @@ class TestBuildIndex:
         assert stats["record"] == "stats"
         assert stats["edges"] == g.n_edges
         assert stats["build_seconds"] >= 0
+        assert "bins" not in stats
 
     def test_rebuild_is_byte_identical(self, tmp_path, capsys):
         paths, _, _ = write_instance(tmp_path)
@@ -98,6 +99,32 @@ class TestBuildIndex:
                     "--index", paths["index"], "--buckets", 5] + required)
         assert code == 2
         assert "unrecognized arguments: --buckets" in capsys.readouterr().err
+        assert not paths["index"].exists()
+
+    @pytest.mark.parametrize("command", ["build-index", "query", "range",
+                                         "oracle", "intent", "stats"])
+    def test_bin_count_is_no_option(self, tmp_path, capsys, command):
+        # the null model's bin count is a constant of the context module
+        paths, _, _ = write_instance(tmp_path)
+        required = ["--r", 1] if command == "range" else []
+        code = run([command, "--schema", paths["schema"], "--nodes",
+                    paths["nodes"], "--edges", paths["edges"],
+                    "--index", paths["index"], "--bins", 5] + required)
+        assert code == 2
+        assert "unrecognized arguments: --bins" in capsys.readouterr().err
+        assert not paths["index"].exists()
+
+    @pytest.mark.parametrize("schema", [
+        '{"features": [{"name": ["x"], "kind": "numeric"}]}',
+        "[" * 200000 + "]" * 200000])
+    def test_bad_schema_is_an_error(self, tmp_path, capsys, schema):
+        paths, _, _ = write_instance(tmp_path)
+        paths["schema"].write_text(schema, encoding="utf-8")
+        code = run(["build-index", "--schema", paths["schema"], "--nodes",
+                    paths["nodes"], "--edges", paths["edges"],
+                    "--index", paths["index"]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
         assert not paths["index"].exists()
 
 
@@ -205,6 +232,18 @@ class TestOracle:
         assert code == 0
         recs = records(capsys)
         assert all(m["score"] >= q.n_edges - 0.5 for m in recs[1:])
+
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_rejects_non_finite_threshold(self, tmp_path, capsys, r):
+        paths, _, _ = write_instance(tmp_path, seed=4)
+        code = run(["oracle", "--schema", paths["schema"], "--nodes",
+                    paths["nodes"], "--edges", paths["edges"], "--query-nodes",
+                    paths["query_nodes"], "--query-edges", paths["query_edges"],
+                    "--r", r])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: r must be finite\n"
 
     def test_refuses_large_target(self, tmp_path, capsys):
         paths, _, _ = write_instance(tmp_path, seed=5, n_nodes=150,
@@ -386,8 +425,7 @@ class TestStats:
 
 
 @pytest.mark.parametrize("command, option", [
-    ("query", "--branching"), ("query", "--leaf-threshold"),
-    ("query", "--bins"), ("oracle", "--bins")])
+    ("query", "--branching"), ("query", "--leaf-threshold")])
 def test_build_option_with_index_is_rejected(tmp_path, capsys, command, option):
     # an index file rebuilds with the options it was saved with, so a build
     # option next to --index would be silently ignored

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from contextgraph.context import (Binner, NullModel, chi_square,
+from contextgraph.context import (BINS, Binner, NullModel, chi_square,
                                   edge_feature_counts, edge_feature_value,
                                   estimate_null_model, fit_binner,
                                   normalize_weights, weight_vector)
@@ -22,30 +22,30 @@ def ladder(values):
 
 class TestBinner:
     def test_deciles_of_1_to_100(self):
-        b = fit_binner(ladder(range(1, 101)), bins=10)
+        b = fit_binner(ladder(range(1, 101)))
         assert b.cuts[0] == (11.0, 21.0, 31.0, 41.0, 51.0, 61.0, 71.0, 81.0, 91.0)
-        assert b.bin_count(0) == 10
+        assert b.bin_count(0) == BINS == 10
 
     def test_every_fitted_value_lands_in_range(self):
         rng = np.random.default_rng(0)
         vals = rng.integers(0, 7, size=60).astype(float)
-        b = fit_binner(ladder(vals), bins=10)
+        b = fit_binner(ladder(vals))
         for v in vals:
             assert 0 <= b.bin_value(0, v) < b.bin_count(0)
 
     def test_constant_feature_gets_one_bin(self):
-        b = fit_binner(ladder([5.0] * 9), bins=10)
+        b = fit_binner(ladder([5.0] * 9))
         assert b.cuts[0] == ()
         assert b.bin_count(0) == 1
 
     def test_cuts_strictly_increasing(self):
         rng = np.random.default_rng(1)
         vals = rng.choice([0.0, 1.0, 1.0, 2.0, 9.0], size=40)
-        b = fit_binner(ladder(vals), bins=10)
+        b = fit_binner(ladder(vals))
         assert all(a < c for a, c in zip(b.cuts[0], b.cuts[0][1:]))
 
     def test_out_of_range_values_clamp(self):
-        b = fit_binner(ladder(range(1, 101)), bins=10)
+        b = fit_binner(ladder(range(1, 101)))
         assert b.bin_value(0, 0.0) == 0
         assert b.bin_value(0, 1e9) == 9
 
@@ -57,9 +57,12 @@ class TestBinner:
         with pytest.raises(ValueError):
             b.bin_value(0, "a")
 
-    def test_rejects_zero_bins(self):
-        with pytest.raises(ValueError):
-            fit_binner(ladder([1, 2, 3]), bins=0)
+    def test_bin_count_is_no_parameter(self):
+        g = ladder(range(1, 101))
+        with pytest.raises(TypeError):
+            fit_binner(g, bins=5)
+        with pytest.raises(TypeError):
+            estimate_null_model(g, bins=5)
 
 
 class TestEdgeValues:
@@ -72,7 +75,7 @@ class TestEdgeValues:
         g = ladder([1, 2])
         with pytest.raises(ValueError, match="binner"):
             edge_feature_value(g, 0, 0)
-        b = fit_binner(g, bins=2)
+        b = fit_binner(g)
         assert edge_feature_value(g, 0, 0, b) == (0, 1)
 
     def test_counts_on_triangle(self, collab_query):

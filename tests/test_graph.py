@@ -1,5 +1,6 @@
 """Graph model: schema and value validation, adjacency, file round trips."""
 
+import json
 import math
 
 import pytest
@@ -244,4 +245,27 @@ class TestFiles:
             load_schema(p)
         p.write_text('{"features": []}', encoding="utf-8")
         with pytest.raises(GraphLoadError, match="non-empty"):
+            load_schema(p)
+
+    @pytest.mark.parametrize("name", [["x"], "", 3, None])
+    def test_schema_json_rejects_bad_feature_name(self, tmp_path, name):
+        p = tmp_path / "schema.json"
+        p.write_text(json.dumps({"features": [{"name": name, "kind": NUMERIC}]}),
+                     encoding="utf-8")
+        with pytest.raises(GraphLoadError, match="feature name"):
+            load_schema(p)
+
+    def test_schema_json_rejects_deep_nesting(self, tmp_path):
+        p = tmp_path / "schema.json"
+        p.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")
+        with pytest.raises(GraphLoadError, match="invalid JSON"):
+            load_schema(p)
+
+    @pytest.mark.parametrize("flag", ["no", "false", 0, 1, None])
+    def test_schema_json_directed_must_be_boolean(self, tmp_path, flag):
+        p = tmp_path / "schema.json"
+        p.write_text(json.dumps({"directed": flag, "features":
+                                 [{"name": "x", "kind": NUMERIC}]}),
+                     encoding="utf-8")
+        with pytest.raises(GraphLoadError, match="'directed' must be true or false"):
             load_schema(p)

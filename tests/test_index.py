@@ -299,11 +299,18 @@ class TestBuildIndex:
         assert st["branching"] == 3
         assert st["max_leaf_size"] <= max(8, 1)
         assert "buckets" not in st
+        assert "bins" not in st
 
     def test_bucket_count_is_no_parameter(self):
         g = random_graph(np.random.default_rng(6), 20, 35)
         with pytest.raises(TypeError):
             build_index(g, buckets=5)
+
+    def test_bin_count_is_no_parameter(self):
+        # the null model's bin count is a constant of the context module
+        g = random_graph(np.random.default_rng(6), 20, 35)
+        with pytest.raises(TypeError):
+            build_index(g, bins=5)
 
     def test_rejects_empty_target(self):
         g = Graph(False, FeatureSchema(("t",), (CATEGORICAL_SET,)),
@@ -413,6 +420,21 @@ class TestPersistence:
     def test_rejects_wrongly_typed_payload(self, tmp_path):
         path = self.saved(tmp_path)
         edit_index_payload(path, lambda doc: doc.update(edges=7))
+        with pytest.raises(IndexFileError, match="malformed"):
+            load_index(path)
+
+    def test_rejects_version_3_file_with_bin_count(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_index_payload(path, lambda doc: doc["params"].update(bins=10))
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (3).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IndexFileError, match="version 3"):
+            load_index(path)
+
+    def test_rejects_bin_count_in_params(self, tmp_path):
+        path = self.saved(tmp_path)
+        edit_index_payload(path, lambda doc: doc["params"].update(bins=10))
         with pytest.raises(IndexFileError, match="malformed"):
             load_index(path)
 

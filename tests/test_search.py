@@ -14,7 +14,7 @@ import contextgraph.search as cg_search
 from contextgraph.context import weight_vector
 from contextgraph.exemplar import ExemplarSet, hybrid_context, intent_topk
 from contextgraph.graph import CATEGORICAL, NUMERIC, FeatureSchema, Graph
-from contextgraph.index import build_index
+from contextgraph.index import build_index, load_index, save_index
 from contextgraph.search import (SearchAudit, SearchParams, SearchTimeout,
                                  _PairTableScorer, _TraditionalScorer,
                                  _build_scorer, _extensions, _growth_slack,
@@ -30,6 +30,27 @@ CAT1 = FeatureSchema(("c",), (CATEGORICAL,))
 
 def cat_graph(values, edges, directed=False):
     return Graph(directed, CAT1, [(v,) for v in values], edges)
+
+
+def assert_extensions_ascend(q, g):
+    """g's incident lists ascend, and _extensions yields each (query edge,
+    target edge) pair once, in ascending order, from every seed of q in g
+    and from every one-step growth of a seed."""
+    for edges in g.incident:
+        assert list(edges) == sorted(set(edges))
+
+    def check(nmap, pairs, depth):
+        exts = _extensions(q, g, nmap, pairs)
+        keys = [(qe, te) for qe, te, _ in exts]
+        assert keys == sorted(set(keys))
+        if depth:
+            for qe, te, new in exts:
+                check({**nmap, **dict(new)}, pairs | {(qe, te)}, depth - 1)
+
+    for qe in range(q.n_edges):
+        for te in range(g.n_edges):
+            for ori in _seed_orientations(q, g, qe, te):
+                check(dict(ori), frozenset(((qe, te),)), 1)
 
 
 class TestGrowth:
@@ -77,6 +98,18 @@ class TestGrowth:
         g_bwd = cat_graph("xyz", [(0, 1), (2, 1)], directed=True)
         assert _extensions(q, g_fwd, {0: 0, 1: 1}, {(0, 0)}) == [(1, 1, ((2, 2),))]
         assert _extensions(q, g_bwd, {0: 0, 1: 1}, {(0, 0)}) == []
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_extensions_ascend_on_random_graphs(self, directed):
+        rng = np.random.default_rng(40 + directed)
+        g = random_graph(rng, 16, 40, directed=directed)
+        assert_extensions_ascend(grow_query(g, 4, rng), g)
+
+    def test_extensions_ascend_on_loaded_index_graph(self, tmp_path):
+        rng = np.random.default_rng(42)
+        save_index(build_index(random_graph(rng, 16, 40)), tmp_path / "g.cgq")
+        g = load_index(tmp_path / "g.cgq").graph
+        assert_extensions_ascend(grow_query(g, 4, rng), g)
 
 
 class TestEnumerate:
@@ -171,6 +204,19 @@ class TestNaive:
         g, q = make_instance(rng)
         res = naive_topk(q, g, 3, weights=(1.0, 0.0, 0.0))
         assert all(m.score <= q.n_edges + 1e-9 for m in res)
+
+    @pytest.mark.parametrize("r", [float("nan"), float("inf"), float("-inf")])
+    def test_range_rejects_non_finite_threshold(self, r):
+        g, q = make_instance(np.random.default_rng(10))
+        with pytest.raises(ValueError, match="r must be finite"):
+            naive_range(q, g, r)
+
+    def test_bin_count_is_no_parameter(self):
+        g, q = make_instance(np.random.default_rng(11))
+        with pytest.raises(TypeError):
+            naive_topk(q, g, 1, bins=5)
+        with pytest.raises(TypeError):
+            naive_range(q, g, 0.0, bins=5)
 
 
 class TestIndexedTopK:
