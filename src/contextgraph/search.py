@@ -432,9 +432,10 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     most the threshold: that bound is at least the state bound of each of
     its seed orientations, so none of them could have entered the queue. The
     entries that remain are ordered by neighborhood similarity to qe, best
-    first, ties by edge id, then oriented and scored, and each orientation
-    is cut on its own state bound. The queue pops by bound, so this order
-    only ranks seeds of equal bound.
+    first, ties by edge id, then oriented and scored; an entry's
+    orientations are pushed best-scoring first, ties in _seed_orientations
+    order, and each is cut on its own state bound. The queue pops by bound,
+    so this order only ranks seeds of equal bound.
     Growth prunes a child in two stages. The first bounds it from its parent
     alone, state_bound(parent score + pair_gain, ...) + _growth_slack(m_q),
     and drops it before its signature is built, remembered or scored; the
@@ -561,14 +562,21 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         scored.sort()
         pq = []
         for _, te in scored:
+            sig = ((qe, te),)
+            oriented = []
             for ori in _seed_orientations(q, g, qe, te):
                 if exact_match and any(
                         q.node_features[qn][f] != g.node_features[tn][f]
                         for qn, tn in ori for f in exact_match):
                     continue
                 nmap = dict(ori)
-                sig = ((qe, te),)
-                score = state_score(nmap, sig)
+                oriented.append((state_score(nmap, sig), nmap))
+            # best-scoring orientation first, ties in _seed_orientations
+            # order: scores a rounding step apart can share one bound, and
+            # the push order then decides which of the two a terminal seed
+            # offers
+            oriented.sort(key=lambda t: -t[0])
+            for score, nmap in oriented:
                 bound = state_bound(score, 1, len(nmap))
                 if bound <= floor:
                     if audit is not None:

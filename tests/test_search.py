@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import contextgraph.exemplar as cg_exemplar
@@ -363,6 +363,9 @@ class TestOnePairOrientation:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            scorer=st.sampled_from(("contextual", "traditional")))
+    # the two orientations of a terminal seed score one rounding step apart
+    # and share one state bound: the engine must still offer the better one
+    @example(seed=158, scorer="traditional")
     def test_sparse_targets_with_isolated_edges(self, seed, scorer):
         rng = np.random.default_rng(seed)
         core = int(rng.integers(3, 9))
