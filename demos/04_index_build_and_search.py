@@ -11,8 +11,9 @@ import time
 
 import numpy as np
 
-from contextgraph import (SearchAudit, SearchParams, build_index, load_index,
-                          naive_topk, range_search, save_index, topk_search)
+from contextgraph import (SearchAudit, SearchParams, build_index,
+                          construct_tree, load_index, naive_topk,
+                          range_search, save_index, topk_search)
 from contextgraph.synth import grow_query, random_graph
 
 rng = np.random.default_rng(7)
@@ -22,11 +23,21 @@ print("target:", target.n_nodes, "nodes /", target.n_edges, "edges;",
       "query:", query.n_edges, "edges")
 
 t0 = time.perf_counter()
-index = build_index(target, branching=4, leaf_threshold=16)
+index = build_index(target)
 stats = index.stats()
 print(f"index built in {time.perf_counter() - t0:.3f}s: "
       f"{stats['tree_nodes']} tree nodes, height {stats['tree_height']}, "
       f"{stats['leaves']} leaves")
+
+# the index's tree has one constant shape: 4 children per inner node, a leaf
+# below 100 edges. construct_tree builds others, and the search answers the
+# same on them
+deep = build_index(target)
+deep.root = construct_tree(deep.assoc, range(target.n_edges), leaf_threshold=16)
+print(f"leaves below 16 edges instead: {deep.root.count_nodes()} tree nodes, "
+      f"height {deep.root.height()}; same top-5 scores:",
+      [m.score for m in topk_search(query, deep, SearchParams(k=5))]
+      == [m.score for m in naive_topk(query, target, 5)])
 
 audit = SearchAudit()
 t0 = time.perf_counter()

@@ -20,7 +20,7 @@ from contextgraph.synth import grow_query, random_graph
 
 rng = np.random.default_rng(21)
 target = random_graph(rng, 50, 110)
-index = build_index(target, leaf_threshold=12)
+index = build_index(target)
 
 # exemplar 1 is grown out of the target; exemplar 2 is the same pattern
 # with one numeric feature shifted, as a second user sketch would be

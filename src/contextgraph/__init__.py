@@ -20,9 +20,9 @@ from .exemplar import (ExemplarError, ExemplarSet, HybridContext,
 from .graph import (CATEGORICAL, CATEGORICAL_SET, NUMERIC, FeatureSchema,
                     Graph, GraphLoadError, load_graph, load_schema,
                     save_graph, save_schema)
-from .index import (MBR, EdgeIndex, IndexFileError, IndexParams, TreeNode,
-                    bucket_index, build_index, construct_tree, load_index,
-                    mbr_of, mbr_similarity, neighborhood_similarity,
+from .index import (MBR, EdgeIndex, IndexFileError, TreeNode, bucket_index,
+                    build_index, construct_tree, load_index, mbr_of,
+                    mbr_similarity, neighborhood_similarity,
                     neighborhood_summary, save_index)
 from .search import (SearchAudit, SearchParams, SearchTimeout, enumerate_mcs,
                      naive_range, naive_topk, range_search, topk_search)
@@ -45,7 +45,7 @@ __all__ = [
     "CATEGORICAL", "CATEGORICAL_SET", "NUMERIC", "FeatureSchema", "Graph",
     "GraphLoadError", "load_graph", "load_schema", "save_graph",
     "save_schema",
-    "MBR", "EdgeIndex", "IndexFileError", "IndexParams", "TreeNode",
+    "MBR", "EdgeIndex", "IndexFileError", "TreeNode",
     "bucket_index", "build_index", "construct_tree", "load_index", "mbr_of",
     "mbr_similarity", "neighborhood_similarity", "neighborhood_summary",
     "save_index",

@@ -2,10 +2,9 @@
 
 Subcommands: build-index, query, range, oracle, intent, stats.
 Results go to stdout as JSON-lines (default) or TSV; diagnostics go to
-stderr; the exit status is 0 exactly when the command succeeded. The build
-options (--branching, --leaf-threshold) apply only when the target is
-built from files: an --index file keeps the ones it was built with, so
-giving them together with --index is an error.
+stderr; the exit status is 0 exactly when the command succeeded. The index
+takes no build options: a target given by --schema, --nodes and --edges is
+built in memory into the same index that an --index file of it holds.
 """
 
 import argparse
@@ -67,22 +66,6 @@ def _add_target_args(p):
     p.add_argument("--index", help="prebuilt index file")
 
 
-# each defaults to None, so build_index's own default applies and an option
-# given together with --index can be told apart from one left out
-BUILD_OPTIONS = ("branching", "leaf_threshold")
-
-
-def _add_build_args(p):
-    p.add_argument("--branching", type=int)
-    p.add_argument("--leaf-threshold", type=int)
-
-
-def _build_kwargs(args):
-    """The build_index keyword arguments given on the command line."""
-    return {name: getattr(args, name) for name in BUILD_OPTIONS
-            if getattr(args, name, None) is not None}
-
-
 def _add_search_args(p):
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--scorer", choices=("contextual", "traditional"),
@@ -113,14 +96,9 @@ def _resolve_index(args):
     if args.index and has_files:
         raise CliError("give either --index or --schema/--nodes/--edges, not both")
     if args.index:
-        given = _build_kwargs(args)
-        if given:
-            option = "--" + next(iter(given)).replace("_", "-")
-            raise CliError(f"{option} cannot be used with --index: an index "
-                           f"file keeps the options it was built with")
         return load_index(args.index)
     g = _load_target(args, "need --index or all of --schema, --nodes, --edges")
-    return build_index(g, **_build_kwargs(args))
+    return build_index(g)
 
 
 def _null_model_doc(index):
@@ -158,7 +136,7 @@ def cmd_build_index(args):
         raise CliError("build-index needs --index for the output path")
     t0 = time.perf_counter()
     g = _load_target(args, "build-index needs --schema, --nodes, and --edges")
-    index = build_index(g, **_build_kwargs(args))
+    index = build_index(g)
     built = time.perf_counter() - t0
     save_index(index, args.index)
     if args.dump_null_model:
@@ -172,6 +150,8 @@ def cmd_build_index(args):
 
 def cmd_search(args):
     """query (top-k) and range: one indexed search, weights learned once."""
+    if args.k < 1:
+        raise CliError("k must be >= 1")
     index = _resolve_index(args)
     g = index.graph
     q = _load_query(args.query_nodes, args.query_edges, g.schema, g.directed)
@@ -200,6 +180,8 @@ def cmd_search(args):
 
 
 def cmd_oracle(args):
+    if args.k < 1:
+        raise CliError("k must be >= 1")
     null_model = None
     if args.index:
         index = _resolve_index(args)
@@ -282,7 +264,6 @@ def build_parser():
 
     p = sub.add_parser("build-index", help="build and save a target index")
     _add_target_args(p)
-    _add_build_args(p)
     _add_format_arg(p)
     p.add_argument("--dump-null-model", metavar="PATH",
                    help="also write the null model as JSON")
@@ -290,7 +271,6 @@ def build_parser():
 
     p = sub.add_parser("query", help="top-k search against an indexed target")
     _add_target_args(p)
-    _add_build_args(p)
     _add_search_args(p)
     _add_format_arg(p)
     p.add_argument("--query-nodes")
@@ -299,7 +279,6 @@ def build_parser():
 
     p = sub.add_parser("range", help="all matches scoring at least --r")
     _add_target_args(p)
-    _add_build_args(p)
     _add_search_args(p)
     _add_format_arg(p)
     p.add_argument("--r", type=float, required=True)
@@ -320,7 +299,6 @@ def build_parser():
 
     p = sub.add_parser("intent", help="search with multiple query exemplars")
     _add_target_args(p)
-    _add_build_args(p)
     _add_format_arg(p)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--query-nodes", action="append")
@@ -335,7 +313,6 @@ def build_parser():
 
     p = sub.add_parser("stats", help="describe an index")
     _add_target_args(p)
-    _add_build_args(p)
     _add_format_arg(p)
     p.add_argument("--dump-null-model", metavar="PATH")
     p.set_defaults(func=cmd_stats)

@@ -174,21 +174,21 @@ class HybridContext:
 
     weights spans all features with zeros on the filtered ones; the rest
     carry the renormalized mean of the per-exemplar chi-square weights,
-    which per_weights holds, one vector per exemplar.
+    which per_weights holds, one vector per exemplar. aligned holds each
+    exemplar's association vectors in the first exemplar's edge ids: they
+    decide the exact-relation features and are what intent search scores.
     """
 
     exact_match: tuple
     exact_relation: tuple
     weights: tuple
     per_weights: list
+    aligned: list
 
 
 def hybrid_context(es, nm):
     """Detect filter features and reweight the remaining context features."""
-    return _hybrid_context(es, nm, _aligned_vectors(es))
-
-
-def _hybrid_context(es, nm, aligned):
+    aligned = _aligned_vectors(es)
     em = detect_exact_match_features(es)
     er = _exact_relation(es, aligned)
     excluded = set(em) | set(er)
@@ -203,7 +203,7 @@ def _hybrid_context(es, nm, aligned):
         weights = tuple(0.0 if f in excluded else 1.0 / len(free) for f in range(d))
     else:
         weights = tuple(0.0 if f in excluded else sums[f] / total for f in range(d))
-    return HybridContext(em, er, weights, per)
+    return HybridContext(em, er, weights, per, aligned)
 
 
 def intent_topk(es, index, params=None, weight_mode="individual",
@@ -227,15 +227,12 @@ def intent_topk(es, index, params=None, weight_mode="individual",
         raise ValueError(f"unknown weight_mode {weight_mode!r}")
     if agg_mode not in ("min", "mean"):
         raise ValueError(f"unknown agg_mode {agg_mode!r}")
-    # computed once: they also decide the exact-relation features
-    q_assocs = _aligned_vectors(es)
-    hc = (context if context is not None
-          else _hybrid_context(es, index.null_model, q_assocs))
+    hc = context if context is not None else hybrid_context(es, index.null_model)
     per = hc.per_weights
     if weight_mode == "averaged":
         per = [averaged_weights(per)] * len(es)
     order_w = hc.weights if sum(hc.weights) > 0.0 else averaged_weights(per)
-    scorer = _PairTableScorer(q_assocs, index, per, order_w, agg_mode == "min")
+    scorer = _PairTableScorer(hc.aligned, index, per, order_w, agg_mode == "min")
     em, er = (hc.exact_match, hc.exact_relation) if use_filters else ((), ())
     return _search(es.graphs[0], index, scorer, k=params.k, audit=audit,
                    exact_match=em, exact_relation=er)

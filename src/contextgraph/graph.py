@@ -170,7 +170,10 @@ def load_schema(path):
     directed = doc.get("directed", False)
     if not isinstance(directed, bool):
         raise GraphLoadError(f"{path}: 'directed' must be true or false, got {directed!r}")
-    return FeatureSchema(tuple(names), tuple(kinds)), directed
+    try:
+        return FeatureSchema(tuple(names), tuple(kinds)), directed
+    except GraphLoadError as exc:
+        raise GraphLoadError(f"{path}: {exc}") from None
 
 
 def _parse_cell(cell, kind, where):

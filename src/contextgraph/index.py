@@ -11,19 +11,22 @@ values on the adjacent edges in BUCKETS buckets, used to order the seed
 candidates of a leaf; they are one int32 array of shape (m, d, BUCKETS), row
 e being edge e's summary.
 
+The tree's shape is fixed: BRANCHING children per inner node, and a node
+holding fewer than LEAF_THRESHOLD edges becomes a leaf.
+
 Index files start with the magic bytes CGQ1, a format version, and a length
 prefix; the payload is a compressed JSON document holding only the target
-graph and the build parameters. Everything else is derived from those, so
-load_index rebuilds the index, which yields the same null model, vectors,
-summaries and tree as the saved one. Files of an older format version are
-rejected: version 1 also stored the derived data, version 2 also stored a
-bucket count, and version 3 a bin count.
+graph. Everything else is derived from it, so load_index rebuilds the
+index, which yields the same null model, vectors, summaries and tree as the
+saved one. Files of an older format version are rejected: version 1 also
+stored the derived data, version 2 also stored a bucket count, version 3 a
+bin count, and version 4 the tree's branching and leaf threshold.
 """
 
 import json
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,9 +35,13 @@ from .graph import CATEGORICAL_SET, FeatureSchema, Graph
 from .similarity import association_vectors
 
 MAGIC = b"CGQ1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 # histogram buckets of a neighborhood summary
 BUCKETS = 10
+# the index tree's shape: children per inner node, and the edge count below
+# which a node is a leaf
+BRANCHING = 4
+LEAF_THRESHOLD = 100
 
 
 class IndexFileError(ValueError):
@@ -117,7 +124,8 @@ class TreeNode:
                 and self.children == other.children)
 
 
-def construct_tree(assoc, edge_ids, branching=4, leaf_threshold=100):
+def construct_tree(assoc, edge_ids, branching=BRANCHING,
+                   leaf_threshold=LEAF_THRESHOLD):
     """Build the hierarchy over the given edges.
 
     Splits on the dimension of maximum association variance (lowest index on
@@ -125,7 +133,8 @@ def construct_tree(assoc, edge_ids, branching=4, leaf_threshold=100):
     to each child with the remainder on the last. A node becomes a leaf when
     it holds fewer than leaf_threshold edges or a single distinct vector.
     Every pass works on index arrays into one (m, d) array of the vectors.
-    Raises ValueError when edge_ids is empty.
+    build_index uses the defaults, the index's one shape. Raises ValueError
+    when edge_ids is empty.
     """
     if branching < 2:
         raise ValueError("branching must be >= 2")
@@ -221,12 +230,6 @@ def neighborhood_similarity(summary_q, summary_t, weights):
     return total
 
 
-@dataclass
-class IndexParams:
-    branching: int = 4
-    leaf_threshold: int = 100
-
-
 class EdgeIndex:
     """Searchable bundle: target graph, null model, association data, tree.
 
@@ -235,9 +238,8 @@ class EdgeIndex:
     its neighborhood summaries.
     """
 
-    def __init__(self, graph, params, null_model, assoc, summaries, root):
+    def __init__(self, graph, null_model, assoc, summaries, root):
         self.graph = graph
-        self.params = params
         self.null_model = null_model
         self.assoc = assoc
         self.summaries = summaries
@@ -263,21 +265,18 @@ class EdgeIndex:
             "tree_height": self.root.height(),
             "leaves": len(leaves),
             "max_leaf_size": max(size for _, size in leaves),
-            "branching": self.params.branching,
-            "leaf_threshold": self.params.leaf_threshold,
         }
 
 
-def build_index(g, branching=4, leaf_threshold=100):
+def build_index(g):
     """Build the full index of a target graph."""
     if g.n_edges == 0:
         raise ValueError("cannot index a graph without edges")
-    params = IndexParams(branching, leaf_threshold)
     null_model = estimate_null_model(g)
     assoc = np.asarray(association_vectors(g), dtype=float)
     summaries = neighborhood_summary(g, assoc)
-    root = construct_tree(assoc, range(g.n_edges), branching, leaf_threshold)
-    return EdgeIndex(g, params, null_model, assoc, summaries, root)
+    root = construct_tree(assoc, range(g.n_edges))
+    return EdgeIndex(g, null_model, assoc, summaries, root)
 
 
 def _encode_feature_value(value, kind):
@@ -289,8 +288,8 @@ def _decode_feature_value(value, kind):
 
 
 def save_index(index, path):
-    """Write the target graph and build parameters as a magic/version/
-    length-prefixed compressed document."""
+    """Write the target graph as a magic/version/length-prefixed compressed
+    document."""
     g = index.graph
     kinds = g.schema.kinds
     payload = {
@@ -300,7 +299,6 @@ def save_index(index, path):
         "node_features": [[_encode_feature_value(v, k) for v, k in zip(row, kinds)]
                           for row in g.node_features],
         "edges": [list(e) for e in g.edges],
-        "params": asdict(index.params),
     }
     blob = zlib.compress(json.dumps(payload, sort_keys=True,
                                     separators=(",", ":")).encode("utf-8"), 6)
@@ -314,8 +312,8 @@ def load_index(path):
     """Read an index file written by save_index and rebuild the index.
 
     Raises IndexFileError for a file that is not a whole index: a bad header,
-    another format version, a corrupt or malformed payload, or a graph or
-    parameters that build_index rejects.
+    another format version, a corrupt or malformed payload, or a graph that
+    build_index rejects.
     """
     with open(path, "rb") as fh:
         head = fh.read(len(MAGIC) + 12)
@@ -339,7 +337,7 @@ def load_index(path):
                  for row in payload["node_features"]]
         g = Graph(payload["directed"], schema, feats,
                   [tuple(e) for e in payload["edges"]], payload["node_ids"])
-        return build_index(g, **payload["params"])
+        return build_index(g)
     except KeyError as exc:
         raise IndexFileError(f"{path}: malformed payload (missing key {exc})") from None
     except (TypeError, ValueError, IndexError, RecursionError) as exc:

@@ -15,7 +15,8 @@ import pytest
 import contextgraph.exemplar as cg_exemplar
 from contextgraph.exemplar import ExemplarSet, intent_topk
 from contextgraph.graph import CATEGORICAL, NUMERIC, FeatureSchema, Graph
-from contextgraph.index import FORMAT_VERSION, MAGIC
+from contextgraph.index import (BRANCHING, FORMAT_VERSION, LEAF_THRESHOLD,
+                                MAGIC, build_index, construct_tree)
 from contextgraph.synth import grow_query, random_graph
 
 COLLAB_SCHEMA = FeatureSchema(("organization", "area", "h_index"),
@@ -60,6 +61,15 @@ def make_instance(rng, min_nodes=8, max_nodes=28, directed=None,
     g = random_graph(rng, n, m, directed=directed)
     q = grow_query(g, query_edges, rng)
     return g, q
+
+
+def index_with_tree(g, branching=BRANCHING, leaf_threshold=LEAF_THRESHOLD):
+    """build_index(g) with its tree rebuilt in another shape, so searches
+    are checked on layouts other than the index's constant one."""
+    index = build_index(g)
+    index.root = construct_tree(index.assoc, range(g.n_edges), branching,
+                                leaf_threshold)
+    return index
 
 
 def shifted_exemplars(q):

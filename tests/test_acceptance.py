@@ -26,7 +26,7 @@ from contextgraph.graph import CATEGORICAL, NUMERIC, FeatureSchema, Graph
 from contextgraph.search import _extensions, _seed_orientations
 from contextgraph.synth import grow_query, random_graph, spatial_graph
 
-from conftest import make_instance
+from conftest import index_with_tree, make_instance
 
 
 def report(num, desc, ok):
@@ -109,8 +109,8 @@ def corpus():
         n = max(_min_nodes(m), int(round(2 * m / dens)))
         g = random_graph(rng, n, m, directed=bool(t % 2))
         q = grow_query(g, int(rng.integers(2, 5)), rng)
-        idx = build_index(g, branching=int(rng.integers(2, 6)),
-                          leaf_threshold=int(rng.integers(1, 33)))
+        idx = index_with_tree(g, branching=int(rng.integers(2, 6)),
+                              leaf_threshold=int(rng.integers(1, 33)))
         full = naive_topk(q, g, 10 ** 9)
         instances.append((g, q, idx, full))
     return {"instances": instances, "seconds": time.perf_counter() - t0}
@@ -404,7 +404,7 @@ def test_c10_large_graph_speedup():
 def test_c11_index_persistence(tmp_path):
     rng = np.random.default_rng(11)
     g = random_graph(rng, 60, 150)
-    idx = build_index(g, leaf_threshold=20)
+    idx = build_index(g)
     path = tmp_path / "target.cgq"
     save_index(idx, path)
     idx2 = load_index(path)
@@ -457,7 +457,7 @@ def test_c12_exemplar_properties():
     q2 = Graph(q1.directed, q1.schema, list(q1.node_features), list(q1.edges))
     es = ExemplarSet([q1, q2], [{u: u for u in range(q1.n_nodes)}])
     target = random_graph(rng, 40, 90)
-    idx = build_index(target, leaf_threshold=12)
+    idx = index_with_tree(target, leaf_threshold=12)
     runs = [[(m.score, m.mapping.signature())
              for m in intent_topk(es, idx, SearchParams(k=6),
                                   weight_mode=wm, agg_mode=am)]

@@ -114,6 +114,34 @@ class TestBuildIndex:
         assert "unrecognized arguments: --bins" in capsys.readouterr().err
         assert not paths["index"].exists()
 
+    @pytest.mark.parametrize("command",
+                             ["build-index", "query", "range", "intent", "stats"])
+    @pytest.mark.parametrize("option", ["--branching", "--leaf-threshold"])
+    def test_tree_shape_is_no_option(self, tmp_path, capsys, command, option):
+        # the tree's shape is a pair of constants of the index module
+        paths, _, _ = write_instance(tmp_path)
+        required = ["--r", 1] if command == "range" else []
+        code = run([command, "--schema", paths["schema"], "--nodes",
+                    paths["nodes"], "--edges", paths["edges"],
+                    "--index", paths["index"], option, 3] + required)
+        assert code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        assert not paths["index"].exists()
+
+    def test_schema_error_names_the_file(self, tmp_path, capsys):
+        paths, _, _ = write_instance(tmp_path)
+        paths["schema"].write_text(
+            '{"features": [{"name": "x", "kind": "numeric"},'
+            ' {"name": "x", "kind": "categorical"}]}', encoding="utf-8")
+        code = run(["build-index", "--schema", paths["schema"], "--nodes",
+                    paths["nodes"], "--edges", paths["edges"],
+                    "--index", paths["index"]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {paths['schema']}: duplicate feature "
+                                f"name in schema\n")
+        assert not paths["index"].exists()
+
     @pytest.mark.parametrize("schema", [
         '{"features": [{"name": ["x"], "kind": "numeric"}]}',
         "[" * 200000 + "]" * 200000])
@@ -245,6 +273,19 @@ class TestOracle:
         assert captured.out == ""
         assert captured.err == "error: r must be finite\n"
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_range_mode_rejects_k_below_one(self, tmp_path, capsys, k):
+        # range mode ignores k, but a k the top-k mode rejects is an error
+        paths, _, _ = write_instance(tmp_path, seed=4)
+        code = run(["oracle", "--schema", paths["schema"], "--nodes",
+                    paths["nodes"], "--edges", paths["edges"], "--query-nodes",
+                    paths["query_nodes"], "--query-edges", paths["query_edges"],
+                    "--r", 1, "--k", k])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be >= 1\n"
+
     def test_refuses_large_target(self, tmp_path, capsys):
         paths, _, _ = write_instance(tmp_path, seed=5, n_nodes=150,
                                      n_edges=5001, query_edges=1)
@@ -317,6 +358,19 @@ class TestRange:
         assert recs[0]["r"] == pytest.approx(q.n_edges - 0.25)
         assert recs[0]["matches"] == len(recs) - 1
         assert all(m["score"] >= q.n_edges - 0.25 for m in recs[1:])
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, tmp_path, capsys, k):
+        # range search ignores k, but a k top-k search rejects is an error
+        paths, _, _ = write_instance(tmp_path, seed=6)
+        code = run(["range", "--schema", paths["schema"], "--nodes",
+                    paths["nodes"], "--edges", paths["edges"], "--query-nodes",
+                    paths["query_nodes"], "--query-edges", paths["query_edges"],
+                    "--r", 1, "--k", k])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be >= 1\n"
 
     def test_r_is_required(self, tmp_path, capsys):
         paths, _, _ = write_instance(tmp_path)
@@ -424,24 +478,6 @@ class TestStats:
         assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, option", [
-    ("query", "--branching"), ("query", "--leaf-threshold")])
-def test_build_option_with_index_is_rejected(tmp_path, capsys, command, option):
-    # an index file rebuilds with the options it was saved with, so a build
-    # option next to --index would be silently ignored
-    paths, _, _ = write_instance(tmp_path)
-    run(["build-index", "--schema", paths["schema"], "--nodes",
-         paths["nodes"], "--edges", paths["edges"], "--index", paths["index"]])
-    capsys.readouterr()
-    code = run([command, "--index", paths["index"],
-                "--query-nodes", paths["query_nodes"],
-                "--query-edges", paths["query_edges"], option, 3])
-    assert code == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert f"error: {option} cannot be used with --index" in captured.err
-
-
 def test_documented_subcommands_match_parser():
     parser = cg_cli.build_parser()
     (sub,) = [a for a in parser._actions
@@ -454,14 +490,17 @@ def test_documented_subcommands_match_parser():
         set(sub.choices)
 
 
-def test_documented_build_options_match_parser():
-    p = argparse.ArgumentParser()
-    cg_cli._add_build_args(p)
-    options = {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
-    assert options == {"--" + name.replace("_", "-")
-                       for name in cg_cli.BUILD_OPTIONS}
-    docstring = re.search(r"build\s+options \(([^)]+)\)", cg_cli.__doc__).group(1)
+def test_documented_flags_match_parser():
+    # every --flag the README's command line section names is an option of
+    # some subcommand, so a flag removed from the parser cannot stay documented
+    parser = cg_cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    options = {o for p in sub.choices.values() for a in p._actions
+               for o in a.option_strings}
     readme = (Path(__file__).parent.parent / "README.md").read_text()
-    sentence = re.search(r"The build options (.+?)\s+apply", readme, re.S).group(1)
-    assert set(re.split(r",\s+", docstring)) == options
-    assert set(re.findall(r"`([^`]+)`", sentence)) == options
+    section = re.search(r"^## Command line$(.+?)^## ", readme,
+                        re.S | re.M).group(1)
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert documented
+    assert documented <= options, documented - options

@@ -19,7 +19,7 @@ from contextgraph.search import SearchParams, naive_topk, topk_search
 from contextgraph.similarity import (Mapping, contextual_graph_similarity,
                                      edge_similarity)
 from contextgraph.synth import grow_query, random_graph
-from conftest import COLLAB_SCHEMA, intent_scorer
+from conftest import COLLAB_SCHEMA, index_with_tree, intent_scorer
 
 IDENTITY3 = {0: 0, 1: 1, 2: 2}
 
@@ -189,7 +189,7 @@ class TestIntentSearch:
     def test_four_variants_coincide_on_identical_exemplars(self):
         rng = np.random.default_rng(1)
         g = random_graph(rng, 20, 34)
-        idx = build_index(g, leaf_threshold=6)
+        idx = index_with_tree(g, leaf_threshold=6)
         q = grow_query(g, 3, rng)
         es = ExemplarSet([q, q], [{i: i for i in range(q.n_nodes)}])
         runs = [intent_topk(es, idx, SearchParams(k=5), wm, am, use_filters=False)
@@ -201,7 +201,7 @@ class TestIntentSearch:
     def test_identical_exemplars_match_plain_search(self):
         rng = np.random.default_rng(2)
         g = random_graph(rng, 20, 34)
-        idx = build_index(g, leaf_threshold=6)
+        idx = index_with_tree(g, leaf_threshold=6)
         q = grow_query(g, 3, rng)
         es = ExemplarSet([q, q], [{i: i for i in range(q.n_nodes)}])
         got = intent_topk(es, idx, SearchParams(k=5), use_filters=False)
@@ -251,7 +251,7 @@ class TestIntentSearch:
         # tables must add the exemplars in the reference's order
         rng = np.random.default_rng(38)
         g = random_graph(rng, 24, 44)
-        idx = build_index(g, leaf_threshold=6)
+        idx = index_with_tree(g, leaf_threshold=6)
         q = grow_query(g, 3, rng)
         f = q.schema.kinds.index(NUMERIC)
         twins = [Graph(q.directed, q.schema,
@@ -288,7 +288,7 @@ class TestIntentSearch:
     def test_rejects_other_scorers(self, scorer):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 20, 34)
-        idx = build_index(g, leaf_threshold=6)
+        idx = index_with_tree(g, leaf_threshold=6)
         q = grow_query(g, 3, rng)
         es = ExemplarSet([q, q], [{i: i for i in range(q.n_nodes)}])
         with pytest.raises(ValueError, match="scorer"):
@@ -299,7 +299,7 @@ class TestIntentSearch:
     def test_modes_checked_before_weights_are_learned(self, monkeypatch, modes):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 20, 34)
-        idx = build_index(g, leaf_threshold=6)
+        idx = index_with_tree(g, leaf_threshold=6)
         q = grow_query(g, 3, rng)
         es = ExemplarSet([q, q], [{i: i for i in range(q.n_nodes)}])
         calls = []
@@ -316,7 +316,7 @@ class TestIntentSearch:
     def test_weights_learned_once(self, monkeypatch):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 20, 34)
-        idx = build_index(g, leaf_threshold=6)
+        idx = index_with_tree(g, leaf_threshold=6)
         q = grow_query(g, 3, rng)
         es = ExemplarSet([q, q], [{i: i for i in range(q.n_nodes)}])
         calls = []

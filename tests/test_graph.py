@@ -255,6 +255,19 @@ class TestFiles:
         with pytest.raises(GraphLoadError, match="feature name"):
             load_schema(p)
 
+    @pytest.mark.parametrize("features, message", [
+        ([{"name": ["x"], "kind": NUMERIC}], "feature name must be"),
+        ([{"name": "x", "kind": NUMERIC}, {"name": "x", "kind": NUMERIC}],
+         "duplicate feature name"),
+        ([{"name": "x", "kind": "ordinal"}], "unknown feature kind")],
+        ids=["bad-name", "duplicate-name", "unknown-kind"])
+    def test_schema_json_errors_name_the_file(self, tmp_path, features, message):
+        p = tmp_path / "schema.json"
+        p.write_text(json.dumps({"features": features}), encoding="utf-8")
+        with pytest.raises(GraphLoadError) as info:
+            load_schema(p)
+        assert str(info.value).startswith(f"{p}: {message}")
+
     def test_schema_json_rejects_deep_nesting(self, tmp_path):
         p = tmp_path / "schema.json"
         p.write_text("[" * 200000 + "]" * 200000, encoding="utf-8")

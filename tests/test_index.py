@@ -292,14 +292,25 @@ class TestSummaries:
 class TestBuildIndex:
     def test_stats_shape(self):
         g = random_graph(np.random.default_rng(6), 20, 35)
-        idx = build_index(g, branching=3, leaf_threshold=8)
-        st = idx.stats()
+        st = build_index(g).stats()
         assert st["edges"] == 35
-        assert st["tree_nodes"] >= 1
-        assert st["branching"] == 3
-        assert st["max_leaf_size"] <= max(8, 1)
-        assert "buckets" not in st
-        assert "bins" not in st
+        # fewer edges than the leaf threshold: the root is the one leaf
+        assert (st["tree_nodes"], st["leaves"], st["max_leaf_size"]) == (1, 1, 35)
+        for key in ("buckets", "bins", "branching", "leaf_threshold"):
+            assert key not in st
+
+    @pytest.mark.parametrize("param", ["branching", "leaf_threshold"])
+    def test_tree_shape_is_no_parameter(self, param):
+        # the tree's shape is a pair of constants of the index module
+        g = random_graph(np.random.default_rng(6), 20, 35)
+        with pytest.raises(TypeError):
+            build_index(g, **{param: 3})
+
+    def test_benchmark_graph_tree_shape(self):
+        # the tree the benchmark searches, under the index's constant shape
+        st = build_index(spatial_graph()).stats()
+        assert (st["tree_nodes"], st["leaves"], st["tree_height"]) == \
+            (341, 256, 5)
 
     def test_bucket_count_is_no_parameter(self):
         g = random_graph(np.random.default_rng(6), 20, 35)
@@ -337,8 +348,10 @@ class TestBuildIndex:
 
 class TestPersistence:
     def test_round_trip_equal_index(self, tmp_path):
-        g = random_graph(np.random.default_rng(8), 25, 45)
-        idx = build_index(g, branching=3, leaf_threshold=6)
+        # more edges than the leaf threshold, so the tree has inner nodes
+        g = random_graph(np.random.default_rng(8), 120, 260)
+        idx = build_index(g)
+        assert not idx.root.is_leaf
         path = tmp_path / "g.cgq"
         save_index(idx, path)
         loaded = load_index(path)
@@ -408,7 +421,7 @@ class TestPersistence:
     def saved(self, tmp_path):
         g = random_graph(np.random.default_rng(14), 20, 36)
         path = tmp_path / "p.cgq"
-        save_index(build_index(g, branching=3, leaf_threshold=6), path)
+        save_index(build_index(g), path)
         return path
 
     def test_rejects_missing_key(self, tmp_path):
@@ -425,30 +438,35 @@ class TestPersistence:
 
     def test_rejects_version_3_file_with_bin_count(self, tmp_path):
         path = self.saved(tmp_path)
-        edit_index_payload(path, lambda doc: doc["params"].update(bins=10))
+        edit_index_payload(path, lambda doc: doc.update(
+            params={"branching": 4, "leaf_threshold": 100, "bins": 10}))
         raw = bytearray(path.read_bytes())
         raw[4:8] = (3).to_bytes(4, "little")
         path.write_bytes(bytes(raw))
         with pytest.raises(IndexFileError, match="version 3"):
             load_index(path)
 
-    def test_rejects_bin_count_in_params(self, tmp_path):
+    def test_rejects_version_4_file_with_tree_shape(self, tmp_path):
         path = self.saved(tmp_path)
-        edit_index_payload(path, lambda doc: doc["params"].update(bins=10))
-        with pytest.raises(IndexFileError, match="malformed"):
+        edit_index_payload(path, lambda doc: doc.update(
+            params={"branching": 4, "leaf_threshold": 100}))
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = (4).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(IndexFileError, match="version 4"):
             load_index(path)
+
+    def test_payload_holds_only_the_graph(self, tmp_path):
+        path = self.saved(tmp_path)
+        keys = []
+        edit_index_payload(path, keys.extend)
+        assert sorted(keys) == ["directed", "edges", "node_features",
+                                "node_ids", "schema"]
 
     def test_rejects_deeply_nested_payload(self, tmp_path):
         path = tmp_path / "deep.cgq"
         write_index_payload(path, "[" * 100000 + "]" * 100000)
         with pytest.raises(IndexFileError, match="corrupt"):
-            load_index(path)
-
-    @pytest.mark.parametrize("param, value", [("branching", 1)])
-    def test_rejects_parameters_build_index_rejects(self, tmp_path, param, value):
-        path = self.saved(tmp_path)
-        edit_index_payload(path, lambda doc: doc["params"].update({param: value}))
-        with pytest.raises(IndexFileError, match=f"{param} must be >="):
             load_index(path)
 
     def test_set_values_survive_round_trip(self, tmp_path):

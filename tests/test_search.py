@@ -23,7 +23,8 @@ from contextgraph.search import (SearchAudit, SearchParams, SearchTimeout,
                                  topk_search)
 from contextgraph.similarity import association_vectors, edge_similarity
 from contextgraph.synth import grow_query, random_graph, spatial_graph
-from conftest import intent_scorer, make_instance, shifted_exemplars
+from conftest import (index_with_tree, intent_scorer, make_instance,
+                      shifted_exemplars)
 
 CAT1 = FeatureSchema(("c",), (CATEGORICAL,))
 
@@ -224,8 +225,8 @@ class TestIndexedTopK:
         rng = np.random.default_rng(10)
         for _ in range(15):
             g, q = make_instance(rng)
-            idx = build_index(g, branching=int(rng.integers(2, 5)),
-                              leaf_threshold=int(rng.integers(1, 24)))
+            idx = index_with_tree(g, branching=int(rng.integers(2, 5)),
+                                  leaf_threshold=int(rng.integers(1, 24)))
             for k in (1, 3, 10):
                 got = topk_search(q, idx, SearchParams(k=k))
                 want = naive_topk(q, g, k)
@@ -238,7 +239,7 @@ class TestIndexedTopK:
         rng = np.random.default_rng(27)
         for _ in range(6):
             g, q = make_instance(rng)
-            idx = build_index(g, leaf_threshold=int(rng.integers(1, 24)))
+            idx = index_with_tree(g, leaf_threshold=int(rng.integers(1, 24)))
             everything = naive_topk(q, g, 10 ** 9)
             by_score = {}
             for m in everything:
@@ -260,7 +261,7 @@ class TestIndexedTopK:
         rng = np.random.default_rng(11)
         for _ in range(8):
             g, q = make_instance(rng)
-            idx = build_index(g, leaf_threshold=6)
+            idx = index_with_tree(g, leaf_threshold=6)
             got = topk_search(q, idx, SearchParams(k=5, scorer="traditional"))
             want = naive_topk(q, g, 5, scorer="traditional")
             assert [m.score for m in got] == [m.score for m in want]
@@ -268,7 +269,7 @@ class TestIndexedTopK:
     def test_deterministic_across_runs(self):
         rng = np.random.default_rng(13)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=4)
+        idx = index_with_tree(g, leaf_threshold=4)
         a = topk_search(q, idx, SearchParams(k=6))
         b = topk_search(q, idx, SearchParams(k=6))
         assert [(m.score, m.mapping.signature()) for m in a] == \
@@ -277,14 +278,14 @@ class TestIndexedTopK:
     def test_results_are_maximal_mappings(self):
         rng = np.random.default_rng(14)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=4)
+        idx = index_with_tree(g, leaf_threshold=4)
         for m in topk_search(q, idx, SearchParams(k=10)):
             assert _extensions(q, g, m.mapping.node_map, m.mapping.edge_pairs) == []
 
     def test_explicit_weights_respected(self):
         rng = np.random.default_rng(15)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=4)
+        idx = index_with_tree(g, leaf_threshold=4)
         w = (0.2, 0.3, 0.5)
         got = topk_search(q, idx, SearchParams(k=4), weights=w)
         want = naive_topk(q, g, 4, weights=w)
@@ -304,7 +305,7 @@ class TestIndexedRange:
     def test_matches_naive_at_boundary(self):
         rng = np.random.default_rng(17)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=4)
+        idx = index_with_tree(g, leaf_threshold=4)
         everything = naive_topk(q, g, 10 ** 9)
         r = everything[min(2, len(everything) - 1)].score
         got = range_search(q, idx, r)
@@ -377,7 +378,7 @@ class TestOnePairOrientation:
         edges += [(core + 2 * i, core + 2 * i + 1) for i in range(isolated)]
         g = Graph(False, base.schema, base.node_features, edges)
         q = grow_query(random_graph(rng, 6, 8), int(rng.integers(1, 4)), rng)
-        idx = build_index(g, leaf_threshold=int(rng.integers(1, 6)))
+        idx = index_with_tree(g, leaf_threshold=int(rng.integers(1, 6)))
         self.assert_engines_agree(q, g, idx, scorer)
 
 
@@ -387,7 +388,7 @@ class TestEdgelessQuery:
         # the scorers build their pair tables before the engine's early
         # return for a query without edges, so that path must hold up too
         g = random_graph(np.random.default_rng(37), 12, 20, directed=directed)
-        idx = build_index(g, leaf_threshold=4)
+        idx = index_with_tree(g, leaf_threshold=4)
         q = Graph(directed, g.schema, [g.node_features[0], g.node_features[1]], [])
         for scorer in ("contextual", "traditional"):
             params = SearchParams(k=3, scorer=scorer)
@@ -411,7 +412,7 @@ class TestSingleLeaf:
             g = random_graph(rng, int(rng.integers(30, 41)),
                              int(rng.integers(80, 201)), directed=directed)
             q = grow_query(g, 3, rng)
-            idx = build_index(g, leaf_threshold=g.n_edges + 1)
+            idx = index_with_tree(g, leaf_threshold=g.n_edges + 1)
             assert idx.root.is_leaf
             ranked = {scorer: naive_topk(q, g, 10 ** 9, scorer=scorer)
                       for scorer in ("contextual", "traditional")}
@@ -446,7 +447,7 @@ class TestQueryVectors:
         # engine reads them from it
         rng = np.random.default_rng(23)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=3)
+        idx = index_with_tree(g, leaf_threshold=3)
         calls = []
 
         def counted(graph, _fn=cg_search.association_vectors):
@@ -461,9 +462,8 @@ class TestQueryVectors:
     def test_computed_once_per_exemplar(self, monkeypatch):
         rng = np.random.default_rng(23)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=3)
+        idx = index_with_tree(g, leaf_threshold=3)
         es = shifted_exemplars(q)
-        context = hybrid_context(es, idx.null_model)
         calls = []
 
         def counted(graph, _fn=cg_search.association_vectors):
@@ -472,6 +472,8 @@ class TestQueryVectors:
 
         for mod in (cg_search, cg_index, cg_exemplar):
             monkeypatch.setattr(mod, "association_vectors", counted)
+        # the vectors the context was learned from are the ones it scores with
+        context = hybrid_context(es, idx.null_model)
         intent_topk(es, idx, SearchParams(k=3), context=context)
         assert len(calls) == len(es)
         assert all(a is b for a, b in zip(calls, es.graphs))
@@ -480,7 +482,7 @@ class TestQueryVectors:
         # the vectors that decide the exact-relation features also score
         rng = np.random.default_rng(23)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=3)
+        idx = index_with_tree(g, leaf_threshold=3)
         es = shifted_exemplars(q)
         calls = []
 
@@ -499,7 +501,7 @@ class TestAudit:
     def test_prunes_never_cut_reachable_scores(self):
         rng = np.random.default_rng(20)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=3)
+        idx = index_with_tree(g, leaf_threshold=3)
         audit = SearchAudit()
         topk_search(q, idx, SearchParams(k=3), audit=audit)
         assert audit.expanded > 0
@@ -510,7 +512,7 @@ class TestAudit:
     def test_intent_prunes_never_cut_reachable_scores(self):
         rng = np.random.default_rng(20)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=3)
+        idx = index_with_tree(g, leaf_threshold=3)
         audit = SearchAudit()
         intent_topk(shifted_exemplars(q), idx, SearchParams(k=3), audit=audit)
         assert audit.expanded > 0
@@ -521,7 +523,7 @@ class TestAudit:
     def test_range_prunes_stay_below_threshold(self):
         rng = np.random.default_rng(21)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=3)
+        idx = index_with_tree(g, leaf_threshold=3)
         audit = SearchAudit()
         r = 1.5
         range_search(q, idx, r, audit=audit)
@@ -531,7 +533,7 @@ class TestAudit:
     def test_least_trace_is_monotone(self):
         rng = np.random.default_rng(22)
         g, q = make_instance(rng)
-        idx = build_index(g, leaf_threshold=3)
+        idx = index_with_tree(g, leaf_threshold=3)
         audit = SearchAudit()
         topk_search(q, idx, SearchParams(k=5), audit=audit)
         trace = audit.least_trace
@@ -557,7 +559,7 @@ class TestGrowthPrefilter:
         # would be dropped too: canonical <= estimate + slack, every child
         rng = np.random.default_rng(seed)
         g, q = make_instance(rng, max_nodes=12, query_edges=query_edges)
-        scorer = make_scorer(kind, q, build_index(g, leaf_threshold=3))
+        scorer = make_scorer(kind, q, index_with_tree(g, leaf_threshold=3))
         slack = _growth_slack(q.n_edges)
         stack = [(dict(ori), ((qe, te),)) for qe in range(q.n_edges)
                  for te in range(g.n_edges)
@@ -586,7 +588,7 @@ class TestGrowthPrefilter:
         # than it prunes there
         rng = np.random.default_rng(35)
         g, q = make_instance(rng, min_nodes=20, query_edges=4)
-        idx = build_index(g, leaf_threshold=3)
+        idx = index_with_tree(g, leaf_threshold=3)
         calls = []
         score = _PairTableScorer.state_score
 
@@ -612,7 +614,7 @@ class TestSeedPairBound:
         # of every orientation; a contextual seed reaches it exactly
         rng = np.random.default_rng(seed)
         g, q = make_instance(rng, max_nodes=12, query_edges=query_edges)
-        scorer = make_scorer(kind, q, build_index(g, leaf_threshold=3))
+        scorer = make_scorer(kind, q, index_with_tree(g, leaf_threshold=3))
         for qe in range(q.n_edges):
             for te in range(g.n_edges):
                 pair_bound = scorer.seed_bound(scorer.pair_gain(qe, te, ()))
@@ -630,7 +632,7 @@ class TestSeedPairBound:
         # whose pair bound falls below r is dropped before neighborhood
         # similarity orders the leaf: no call may see such an entry
         g = spatial_graph(120, 400, seed=3, replicas=4)
-        idx = build_index(g, leaf_threshold=20)
+        idx = index_with_tree(g, leaf_threshold=20)
         q = grow_query(g, 3, np.random.default_rng(36))
         w = weight_vector(q, idx.null_model)
         r = q.n_edges - 0.1
