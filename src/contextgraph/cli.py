@@ -5,6 +5,8 @@ Results go to stdout as JSON-lines (default) or TSV; diagnostics go to
 stderr; the exit status is 0 exactly when the command succeeded. The index
 takes no build options: a target given by --schema, --nodes and --edges is
 built in memory into the same index that an --index file of it holds.
+Search settings take their defaults and choices from the library, and each
+search subcommand checks them in its SearchParams before loading anything.
 """
 
 import argparse
@@ -13,11 +15,12 @@ import sys
 import time
 
 from .context import weight_vector
-from .exemplar import ExemplarSet, hybrid_context, intent_topk, load_bijections
+from .exemplar import (AGG_MODES, WEIGHT_MODES, ExemplarSet, hybrid_context,
+                       intent_topk, load_bijections)
 from .graph import load_graph, load_schema
 from .index import build_index, load_index, save_index
-from .search import (SearchParams, naive_range, naive_topk, range_search,
-                     topk_search)
+from .search import (SCORERS, SearchParams, naive_range, naive_topk,
+                     range_search, topk_search)
 
 ORACLE_EDGE_CAP = 5000
 
@@ -60,20 +63,19 @@ class _Writer:
 
 
 def _add_target_args(p):
+    """The target and output options every subcommand takes."""
     p.add_argument("--schema", help="schema JSON for the target graph")
     p.add_argument("--nodes", help="target nodes TSV")
     p.add_argument("--edges", help="target edges TSV")
     p.add_argument("--index", help="prebuilt index file")
+    p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
 
 
 def _add_search_args(p):
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--scorer", choices=("contextual", "traditional"),
-                   default="contextual")
-
-
-def _add_format_arg(p):
-    p.add_argument("--format", choices=("jsonl", "tsv"), default="jsonl")
+    p.add_argument("--k", type=int, default=SearchParams().k)
+    p.add_argument("--scorer", choices=SCORERS, default=SearchParams().scorer)
+    p.add_argument("--query-nodes")
+    p.add_argument("--query-edges")
 
 
 def _load_target(args, missing):
@@ -122,13 +124,17 @@ def _dump_null_model(index, path):
     print(f"null model written to {path}", file=sys.stderr)
 
 
-def _match_record(match, rank, g, q):
-    node_map = {q.node_ids[qn]: g.node_ids[tn]
-                for qn, tn in sorted(match.mapping.node_map.items())}
-    return {"record": "match", "rank": rank, "score": match.score,
-            "edges_matched": len(match.mapping.edge_pairs),
-            "node_map": node_map,
-            "edge_pairs": [list(p) for p in match.mapping.signature()]}
+def _emit_matches(args, header, matches, g, q):
+    """The header record, then one record per match of q in g, ranked from 1."""
+    writer = _Writer(args.format)
+    writer.emit(header)
+    for rank, match in enumerate(matches, start=1):
+        node_map = {q.node_ids[qn]: g.node_ids[tn]
+                    for qn, tn in sorted(match.mapping.node_map.items())}
+        writer.emit({"record": "match", "rank": rank, "score": match.score,
+                     "edges_matched": len(match.mapping.edge_pairs),
+                     "node_map": node_map,
+                     "edge_pairs": [list(p) for p in match.mapping.signature()]})
 
 
 def cmd_build_index(args):
@@ -150,12 +156,10 @@ def cmd_build_index(args):
 
 def cmd_search(args):
     """query (top-k) and range: one indexed search, weights learned once."""
-    if args.k < 1:
-        raise CliError("k must be >= 1")
+    params = SearchParams(k=args.k, scorer=args.scorer)
     index = _resolve_index(args)
     g = index.graph
     q = _load_query(args.query_nodes, args.query_edges, g.schema, g.directed)
-    params = SearchParams(k=args.k, scorer=args.scorer)
     # the traditional scorer uses no context weights
     weights = (weight_vector(q, index.null_model)
                if args.scorer == "contextual" else None)
@@ -172,16 +176,12 @@ def cmd_search(args):
                    "weights": None if weights is None else list(weights),
                    "query_nodes": q.n_nodes, "query_edges": q.n_edges,
                    "seconds": elapsed})
-    writer = _Writer(args.format)
-    writer.emit(header)
-    for rank, match in enumerate(matches, start=1):
-        writer.emit(_match_record(match, rank, g, q))
+    _emit_matches(args, header, matches, g, q)
     return 0
 
 
 def cmd_oracle(args):
-    if args.k < 1:
-        raise CliError("k must be >= 1")
+    params = SearchParams(k=args.k, scorer=args.scorer)
     null_model = None
     if args.index:
         index = _resolve_index(args)
@@ -194,23 +194,22 @@ def cmd_oracle(args):
     q = _load_query(args.query_nodes, args.query_edges, g.schema, g.directed)
     t0 = time.perf_counter()
     if args.r is not None:
-        matches = naive_range(q, g, args.r, scorer=args.scorer,
+        matches = naive_range(q, g, args.r, scorer=params.scorer,
                               null_model=null_model)
     else:
-        matches = naive_topk(q, g, args.k, scorer=args.scorer,
+        matches = naive_topk(q, g, params.k, scorer=params.scorer,
                              null_model=null_model)
     elapsed = time.perf_counter() - t0
-    writer = _Writer(args.format)
-    writer.emit({"record": "header", "command": "oracle", "k": args.k,
-                 "r": args.r, "scorer": args.scorer, "matches": len(matches),
-                 "query_nodes": q.n_nodes, "query_edges": q.n_edges,
-                 "seconds": elapsed})
-    for rank, match in enumerate(matches, start=1):
-        writer.emit(_match_record(match, rank, g, q))
+    header = {"record": "header", "command": "oracle", "k": args.k,
+              "r": args.r, "scorer": args.scorer, "matches": len(matches),
+              "query_nodes": q.n_nodes, "query_edges": q.n_edges,
+              "seconds": elapsed}
+    _emit_matches(args, header, matches, g, q)
     return 0
 
 
 def cmd_intent(args):
+    params = SearchParams(k=args.k)
     index = _resolve_index(args)
     g = index.graph
     if len(args.query_nodes or ()) < 2 or len(args.query_edges or ()) < 2:
@@ -223,7 +222,6 @@ def cmd_intent(args):
                  for n, e in zip(args.query_nodes, args.query_edges)]
     bijections = load_bijections(args.bijection, exemplars)
     es = ExemplarSet(exemplars, bijections)
-    params = SearchParams(k=args.k)
     use_filters = not args.no_filters
     hc = hybrid_context(es, index.null_model)
     t0 = time.perf_counter()
@@ -231,17 +229,14 @@ def cmd_intent(args):
                           use_filters, context=hc)
     elapsed = time.perf_counter() - t0
     names = g.schema.names
-    writer = _Writer(args.format)
-    writer.emit({"record": "header", "command": "intent", "k": args.k,
-                 "exemplars": len(es), "weight_mode": args.weight_mode,
-                 "agg_mode": args.agg_mode, "filters": use_filters,
-                 "exact_match": [names[f] for f in hc.exact_match],
-                 "exact_relation": [names[f] for f in hc.exact_relation],
-                 "hybrid_weights": list(hc.weights),
-                 "seconds": elapsed})
-    q = es.graphs[0]
-    for rank, match in enumerate(matches, start=1):
-        writer.emit(_match_record(match, rank, g, q))
+    header = {"record": "header", "command": "intent", "k": args.k,
+              "exemplars": len(es), "weight_mode": args.weight_mode,
+              "agg_mode": args.agg_mode, "filters": use_filters,
+              "exact_match": [names[f] for f in hc.exact_match],
+              "exact_relation": [names[f] for f in hc.exact_relation],
+              "hybrid_weights": list(hc.weights),
+              "seconds": elapsed}
+    _emit_matches(args, header, matches, g, es.graphs[0])
     return 0
 
 
@@ -264,7 +259,6 @@ def build_parser():
 
     p = sub.add_parser("build-index", help="build and save a target index")
     _add_target_args(p)
-    _add_format_arg(p)
     p.add_argument("--dump-null-model", metavar="PATH",
                    help="also write the null model as JSON")
     p.set_defaults(func=cmd_build_index)
@@ -272,48 +266,37 @@ def build_parser():
     p = sub.add_parser("query", help="top-k search against an indexed target")
     _add_target_args(p)
     _add_search_args(p)
-    _add_format_arg(p)
-    p.add_argument("--query-nodes")
-    p.add_argument("--query-edges")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("range", help="all matches scoring at least --r")
     _add_target_args(p)
     _add_search_args(p)
-    _add_format_arg(p)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--query-nodes")
-    p.add_argument("--query-edges")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("oracle", help="exhaustive reference search (slow)")
     _add_target_args(p)
     _add_search_args(p)
-    _add_format_arg(p)
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--force", action="store_true",
                    help="run even on large targets")
-    p.add_argument("--query-nodes")
-    p.add_argument("--query-edges")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("intent", help="search with multiple query exemplars")
     _add_target_args(p)
-    _add_format_arg(p)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=int, default=SearchParams().k)
     p.add_argument("--query-nodes", action="append")
     p.add_argument("--query-edges", action="append")
     p.add_argument("--bijection")
-    p.add_argument("--weight-mode", choices=("individual", "averaged"),
-                   default="individual")
-    p.add_argument("--agg-mode", choices=("min", "mean"), default="min")
+    p.add_argument("--weight-mode", choices=WEIGHT_MODES,
+                   default=WEIGHT_MODES[0])
+    p.add_argument("--agg-mode", choices=AGG_MODES, default=AGG_MODES[0])
     p.add_argument("--no-filters", action="store_true",
                    help="score without exact-match/exact-relation filters")
     p.set_defaults(func=cmd_intent)
 
     p = sub.add_parser("stats", help="describe an index")
     _add_target_args(p)
-    _add_format_arg(p)
     p.add_argument("--dump-null-model", metavar="PATH")
     p.set_defaults(func=cmd_stats)
 

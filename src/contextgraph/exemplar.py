@@ -23,6 +23,11 @@ from .index import mbr_similarity  # noqa: F401
 from .similarity import edge_similarity  # noqa: F401
 
 
+# the values intent search accepts for its two modes, the default first
+WEIGHT_MODES = ("individual", "averaged")
+AGG_MODES = ("min", "mean")
+
+
 class ExemplarError(ValueError):
     """Raised when exemplars are not isomorphic under the given bijections."""
 
@@ -102,31 +107,35 @@ def averaged_weights(weight_list):
                  for i in range(len(weight_list[0])))
 
 
-def exemplar_similarity(m, es, g_t, nm, weight_mode="individual",
-                        agg_mode="min"):
+def _check_modes(weight_mode, agg_mode):
+    if weight_mode not in WEIGHT_MODES:
+        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+    if agg_mode not in AGG_MODES:
+        raise ValueError(f"unknown agg_mode {agg_mode!r}")
+
+
+def exemplar_similarity(m, es, g_t, nm, weight_mode=WEIGHT_MODES[0],
+                        agg_mode=AGG_MODES[0]):
     """Aggregate contextual similarity of one mapping across all exemplars.
 
     weight_mode selects per-exemplar weights or their average; agg_mode
-    selects min (every exemplar must be matched well) or mean.
+    selects min (every exemplar must be matched well) or mean. A mode not in
+    WEIGHT_MODES / AGG_MODES raises ValueError before weights are learned.
     """
+    _check_modes(weight_mode, agg_mode)
     per = exemplar_weights(es, nm)
     if weight_mode == "averaged":
-        shared = averaged_weights(per)
-        per = [shared] * len(es)
-    elif weight_mode != "individual":
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
+        per = [averaged_weights(per)] * len(es)
     scores = [contextual_graph_similarity(es.translate(m, i), es.graphs[i],
                                           g_t, per[i])
               for i in range(len(es))]
     if agg_mode == "min":
         return min(scores)
-    if agg_mode == "mean":
-        # in exemplar order, as the engine adds them (sum() may not, 3.12 on)
-        total = 0.0
-        for s in scores:
-            total += s
-        return total / len(scores)
-    raise ValueError(f"unknown agg_mode {agg_mode!r}")
+    # in exemplar order, as the engine adds them (sum() may not, 3.12 on)
+    total = 0.0
+    for s in scores:
+        total += s
+    return total / len(scores)
 
 
 def detect_exact_match_features(es):
@@ -206,27 +215,23 @@ def hybrid_context(es, nm):
     return HybridContext(em, er, weights, per, aligned)
 
 
-def intent_topk(es, index, params=None, weight_mode="individual",
-                agg_mode="min", use_filters=True, audit=None, context=None):
+def intent_topk(es, index, params=SearchParams(), weight_mode=WEIGHT_MODES[0],
+                agg_mode=AGG_MODES[0], use_filters=True, audit=None,
+                context=None):
     """Top-k matches of an exemplar set against an indexed target.
 
-    The first exemplar drives the growth; scores aggregate all exemplars,
-    and params.scorer must be "contextual". With use_filters the exact-match
-    / exact-relation features restrict which target edges may seed the
-    search. context is the exemplar set's HybridContext under the index's
-    null model when the caller already has it; otherwise it is learned here.
+    The first exemplar drives the growth; scores aggregate all exemplars
+    under the modes of exemplar_similarity. params.scorer must be
+    "contextual"; it and the modes are checked before weights are learned.
+    With use_filters the exact-match / exact-relation features restrict
+    which target edges may seed the search. context is the exemplar set's
+    HybridContext under the index's null model when the caller already has
+    it; otherwise it is learned here.
     """
-    if params is None:
-        params = SearchParams()
-    if params.k < 1:
-        raise ValueError("k must be >= 1")
     if params.scorer != "contextual":
         raise ValueError(f"intent search scores contextually, not with "
                          f"scorer {params.scorer!r}")
-    if weight_mode not in ("individual", "averaged"):
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
-    if agg_mode not in ("min", "mean"):
-        raise ValueError(f"unknown agg_mode {agg_mode!r}")
+    _check_modes(weight_mode, agg_mode)
     hc = context if context is not None else hybrid_context(es, index.null_model)
     per = hc.per_weights
     if weight_mode == "averaged":

@@ -335,6 +335,8 @@ def load_index(path):
         schema = FeatureSchema(tuple(payload["schema"]["names"]), tuple(kinds))
         feats = [tuple(_decode_feature_value(v, k) for v, k in zip(row, kinds))
                  for row in payload["node_features"]]
+        if not isinstance(payload["directed"], bool):
+            raise TypeError(f"'directed' must be true or false, got {payload['directed']!r}")
         g = Graph(payload["directed"], schema, feats,
                   [tuple(e) for e in payload["edges"]], payload["node_ids"])
         return build_index(g)

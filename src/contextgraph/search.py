@@ -47,10 +47,25 @@ class SearchTimeout(Exception):
     """Raised when an enumeration exceeds its deadline."""
 
 
-@dataclass
+SCORERS = ("contextual", "traditional")
+
+
+@dataclass(frozen=True)
 class SearchParams:
+    """k answers under a scorer of SCORERS, checked here when made and
+    nowhere else: k must be an integer >= 1 (numpy integers pass; bool,
+    float and str raise ValueError, as does an unknown scorer)."""
+
     k: int = 10
     scorer: str = "contextual"
+
+    def __post_init__(self):
+        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
+        if self.k < 1:
+            raise ValueError("k must be >= 1")
+        if self.scorer not in SCORERS:
+            raise ValueError(f"unknown scorer {self.scorer!r}")
 
 
 class SearchAudit:
@@ -180,18 +195,16 @@ def enumerate_mcs(q, g, deadline=None):
     return [found[sig] for sig in sorted(found)]
 
 
-def _rank_all(q, g, scorer, weights, null_model, deadline):
+def _rank_all(q, g, params, weights, null_model, deadline):
     maps = enumerate_mcs(q, g, deadline)
-    if scorer == "contextual":
+    if params.scorer == "contextual":
         if weights is None:
             if null_model is None:
                 null_model = estimate_null_model(g)
             weights = weight_vector(q, null_model)
         score = lambda m: contextual_graph_similarity(m, q, g, weights)
-    elif scorer == "traditional":
-        score = lambda m: traditional_graph_similarity(m, q, g)
     else:
-        raise ValueError(f"unknown scorer {scorer!r}")
+        score = lambda m: traditional_graph_similarity(m, q, g)
 
     def represent(m):
         # a one-pair signature can be maximal in both orientations of an
@@ -213,12 +226,11 @@ def naive_topk(q, g, k, scorer="contextual", weights=None, null_model=None,
                deadline=None):
     """Reference top-k: exhaustive enumeration, then rank and cut.
 
-    Ties break on the canonical signature. The score of each match is the
+    k and scorer are checked by SearchParams, before any enumeration. Ties
+    break on the canonical signature. The score of each match is the
     canonical pairwise sum, identical bit-for-bit to the indexed engine's.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    ranked = _rank_all(q, g, scorer, weights, null_model, deadline)
+    ranked = _rank_all(q, g, SearchParams(k, scorer), weights, null_model, deadline)
     return [ScoredMatch(m, s) for s, m in ranked[:k]]
 
 
@@ -227,7 +239,7 @@ def naive_range(q, g, r, scorer="contextual", weights=None, null_model=None,
     """Reference range query: every maximal mapping scoring at least r."""
     if not math.isfinite(r):
         raise ValueError("r must be finite")
-    ranked = _rank_all(q, g, scorer, weights, null_model, deadline)
+    ranked = _rank_all(q, g, SearchParams(scorer=scorer), weights, null_model, deadline)
     return [ScoredMatch(m, s) for s, m in ranked if s >= r]
 
 
@@ -370,16 +382,16 @@ class _TopK:
 class _Threshold:
     """Unbounded answer set keeping everything at or above r."""
 
-    def __init__(self, r):
+    def __init__(self, r, slack):
         self.r = r
-        self.below_r = math.nextafter(r, -math.inf)
+        self.below_r = math.nextafter(r - slack, -math.inf)
         self.items = []
 
     def least(self):
         return self.r
 
     def floor(self):
-        # bound <= the largest float below r exactly when bound < r
+        # bound <= this exactly when bound < r - slack (see _growth_slack)
         return self.below_r
 
     def offer(self, score, sig, nmap, disc):
@@ -403,6 +415,9 @@ def _growth_slack(m_q):
     exemplar mean divides its sums by u. So the two sides move apart by less
     than 2 * (2*m_q + 4 + u) * (2*m_q + 2) * 2**-53, which this slack of
     512 * (m_q + 1)**2 * 2**-53 covers for up to 250 exemplars.
+    Range search prunes a state only on a bound below r - slack: the same
+    count of roundings separates a state's canonical bound from the score of
+    any mapping grown from it, which in exact arithmetic cannot exceed it.
     """
     return (m_q + 1) ** 2 * 2.0 ** -44
 
@@ -456,7 +471,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     if m_q == 0 or g.n_edges == 0:
         return []
 
-    ans = _TopK(k) if r is None else _Threshold(r)
+    slack = _growth_slack(m_q)
+    ans = _TopK(k) if r is None else _Threshold(r, slack)
 
     def prune(kind, bound):
         audit.prunes.append((kind, bound, ans.least()))
@@ -475,7 +491,6 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     state_bound = scorer.state_bound
     pair_gain = scorer.pair_gain
     seed_bound = scorer.seed_bound
-    slack = _growth_slack(m_q)
 
     visited = set()
     found = set()
@@ -615,35 +630,28 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
 
 
 def _build_scorer(q, index, params, weights):
-    if params.scorer == "contextual":
-        if weights is None:
-            weights = weight_vector(q, index.null_model)
-        weights = tuple(weights)
-        return _PairTableScorer([association_vectors(q)], index, [weights],
-                                weights, True)
     if params.scorer == "traditional":
         return _TraditionalScorer(q, index)
-    raise ValueError(f"unknown scorer {params.scorer!r}")
+    if weights is None:
+        weights = weight_vector(q, index.null_model)
+    weights = tuple(weights)
+    return _PairTableScorer([association_vectors(q)], index, [weights],
+                            weights, True)
 
 
-def topk_search(q, index, params=None, weights=None, audit=None):
+def topk_search(q, index, params=SearchParams(), weights=None, audit=None):
     """Exact top-k maximal common subgraphs of q in the indexed target.
 
-    Returns ScoredMatch objects ranked by (score desc, discovery asc); the
-    score multiset always equals naive_topk's on the same inputs.
+    params was checked when it was made. Returns ScoredMatch objects ranked
+    by (score desc, discovery asc); the score multiset always equals
+    naive_topk's on the same inputs.
     """
-    if params is None:
-        params = SearchParams()
-    if params.k < 1:
-        raise ValueError("k must be >= 1")
     scorer = _build_scorer(q, index, params, weights)
     return _search(q, index, scorer, k=params.k, audit=audit)
 
 
-def range_search(q, index, r, params=None, weights=None, audit=None):
+def range_search(q, index, r, params=SearchParams(), weights=None, audit=None):
     """Every maximal common subgraph scoring at least r, ranked."""
-    if params is None:
-        params = SearchParams()
     if not math.isfinite(r):
         raise ValueError("r must be finite")
     scorer = _build_scorer(q, index, params, weights)

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, formats, exit codes."""
 
 import argparse
+import inspect
 import json
 import re
 from pathlib import Path
@@ -12,8 +13,10 @@ import contextgraph.cli as cg_cli
 import contextgraph.exemplar as cg_exemplar
 import contextgraph.search as cg_search
 from contextgraph.cli import main
+from contextgraph.exemplar import AGG_MODES, WEIGHT_MODES, intent_topk
 from contextgraph.graph import save_graph, save_schema
 from contextgraph.index import MAGIC, load_index
+from contextgraph.search import SCORERS, SearchParams
 from contextgraph.synth import grow_query, random_graph
 from conftest import edit_index_payload
 
@@ -381,6 +384,18 @@ class TestRange:
 
 
 class TestIntent:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one_before_loading(self, tmp_path, capsys, k):
+        # no file exists: k is checked before the index or exemplars are read
+        missing = tmp_path / "missing"
+        code = run(["intent", "--index", missing, "--k", k, "--bijection",
+                    missing, "--query-nodes", missing, "--query-edges", missing,
+                    "--query-nodes", missing, "--query-edges", missing])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be >= 1\n"
+
     def test_two_exemplars(self, tmp_path, capsys):
         paths, g, q = write_instance(tmp_path, seed=7)
         run(["build-index", "--schema", paths["schema"], "--nodes",
@@ -504,3 +519,26 @@ def test_documented_flags_match_parser():
     documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
     assert documented
     assert documented <= options, documented - options
+
+
+def test_search_settings_come_from_the_library():
+    parser = cg_cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+
+    def option(command, flag):
+        (action,) = [a for a in sub.choices[command]._actions
+                     if flag in a.option_strings]
+        return action
+
+    for command in ("query", "range", "oracle", "intent"):
+        assert option(command, "--k").default == SearchParams().k
+    for command in ("query", "range", "oracle"):
+        assert tuple(option(command, "--scorer").choices) == SCORERS
+        assert option(command, "--scorer").default == SearchParams().scorer
+    defaults = inspect.signature(intent_topk).parameters
+    for flag, modes in (("--weight-mode", WEIGHT_MODES),
+                        ("--agg-mode", AGG_MODES)):
+        assert tuple(option("intent", flag).choices) == modes
+        name = flag[2:].replace("-", "_")
+        assert option("intent", flag).default == defaults[name].default

@@ -436,6 +436,14 @@ class TestPersistence:
         with pytest.raises(IndexFileError, match="malformed"):
             load_index(path)
 
+    @pytest.mark.parametrize("directed", ["no", 1, 0, None])
+    def test_rejects_directed_flag_that_is_no_boolean(self, tmp_path, directed):
+        # "no" and 1 loaded as directed, 0 and null as undirected
+        path = self.saved(tmp_path)
+        edit_index_payload(path, lambda doc: doc.update(directed=directed))
+        with pytest.raises(IndexFileError, match="'directed' must be true or false"):
+            load_index(path)
+
     def test_rejects_version_3_file_with_bin_count(self, tmp_path):
         path = self.saved(tmp_path)
         edit_index_payload(path, lambda doc: doc.update(

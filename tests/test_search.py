@@ -1,5 +1,6 @@
 """Search engines: growth semantics, oracle, indexed top-k/range equivalence."""
 
+import dataclasses
 import time
 from types import SimpleNamespace
 
@@ -328,6 +329,46 @@ class TestIndexedRange:
         idx = build_index(g)
         with pytest.raises(ValueError):
             range_search(q, idx, float("inf"))
+
+
+class TestSearchParams:
+    """SearchParams checks k and the scorer once, when it is made, for every
+    search that takes them."""
+
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            SearchParams(k=k)
+
+    @pytest.mark.parametrize("k", [2.5, True, "3"])
+    def test_every_search_rejects_k_that_is_no_integer(self, k):
+        g, q = make_instance(np.random.default_rng(20))
+        idx = build_index(g)
+        with pytest.raises(ValueError, match="k must be an integer"):
+            topk_search(q, idx, SearchParams(k=k))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            range_search(q, idx, 1.0, SearchParams(k=k))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            intent_topk(shifted_exemplars(q), idx, SearchParams(k=k))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            naive_topk(q, g, k)
+
+    def test_numpy_integer_k(self):
+        g, q = make_instance(np.random.default_rng(21))
+        idx = build_index(g)
+        got = topk_search(q, idx, SearchParams(k=np.int64(3)))
+        assert [m.score for m in got] == \
+            [m.score for m in topk_search(q, idx, SearchParams(k=3))]
+
+    def test_naive_range_rejects_unknown_scorer(self):
+        g, q = make_instance(np.random.default_rng(22))
+        with pytest.raises(ValueError, match="unknown scorer 'psychic'"):
+            naive_range(q, g, 1.0, scorer="psychic")
+
+    def test_settings_cannot_change_after_the_check(self):
+        params = SearchParams(k=3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            params.k = 0
 
 
 def listing(matches):
