@@ -19,6 +19,14 @@ adds, before the child is built or remembered, then on the bound of its
 canonical score. Every discarded state is covered by an upper bound that
 cannot beat the current answer threshold, so the returned score multiset
 equals the naive one.
+
+Each query edge is handled once, and later phases leave handled edges out:
+every mapping holding a pair of a handled edge was grown from that pair or
+cut on a bound, so later growth never adds such a pair, never offers a state
+that only such a pair extends, and counts handled edges as settled in every
+bound. This is the set-enumeration tree's rule that each set is reached
+from one root only (Rymon, KR 1992). Intent filters turn it off (see
+_search).
 """
 
 import math
@@ -101,18 +109,22 @@ def _seed_orientations(q, g, qe, te):
     return (((u, a), (v, b)), ((u, b), (v, a)))
 
 
-def _extensions(q, g, nmap, pairs):
+def _extensions(q, g, nmap, pairs, handled=()):
     """All single-pair extensions of a connected mapping.
 
     Returns (query edge, target edge, new node assignments) triples in
     ascending (query edge, target edge) order, with no pair twice: query edges
     are visited in order and Graph.incident lists ascend. A query edge
-    qualifies when at least one endpoint is mapped; the target edge must be
-    unused, direction-consistent, and respect injectivity.
+    qualifies when it is neither in the mapping nor in handled and at least
+    one endpoint is mapped; the target edge must be unused,
+    direction-consistent, and respect injectivity. handled holds the query
+    edges an indexed search has finished, whose pairs later growth never
+    adds (see _search); the default excludes none.
     """
     out = []
     used_te = {te for _, te in pairs}
     used_qe = {qe for qe, _ in pairs}
+    used_qe.update(handled)
     mapped_targets = set(nmap.values())
     directed = g.directed
     for qe in range(q.n_edges):
@@ -297,8 +309,8 @@ class _PairTableScorer:
                   for qa, w in zip(self.q_assocs, self.per_weights)]
         return min(values) if self.agg_min else sum(values) / self.u
 
-    def seed_bound(self, value):
-        return value + (self.m_q - 1)
+    def seed_bound(self, value, n_settled):
+        return value + (self.m_q - n_settled)
 
 
 class _TraditionalScorer:
@@ -347,7 +359,7 @@ class _TraditionalScorer:
     def mbr_value(self, qe, mbr):
         return mbr_similarity(self.q_assoc[qe], self.order_weights, mbr)
 
-    def seed_bound(self, value):
+    def seed_bound(self, value, n_settled):
         return math.inf
 
 
@@ -431,12 +443,16 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
       order_weights              feature weights that order query edges,
                                  tree nodes and leaf entries
       state_score(nmap, sig)     score of a mapping, summed along sig
-      state_bound(score, n_pairs, n_nodes)
+      state_bound(score, n_settled, n_nodes)
                                  best final score reachable from a state
+                                 whose growth can add no pair of n_settled
+                                 query edges
       pair_gain(qe, te, new)     upper bound on what pair (qe, te) and its new
                                  node assignments add to a state's score
       mbr_value(qe, mbr)         bound on qe's pair value under a tree box
-      seed_bound(value)          best final score from a seed of that value
+      seed_bound(value, n_settled)
+                                 best final score from a seed of that value,
+                                 n_settled counted as in state_bound
     The pair-table scorer builds its pair values against every target edge
     once, when it is made (pair_similarity_table), so pair_gain and
     state_score only read them by index.
@@ -460,10 +476,25 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     bound, so answers and the order of pushes match a search without the
     first stage; a child dropped early is not remembered, so it may be
     reached and dropped again.
+    Phase 1 adds a query edge to handled once its tree descent has run out
+    or been cut. Every mapping holding a pair of a handled edge qe0 is then
+    covered: it was grown from its qe0 seed, or it was cut on a bound that
+    the answer threshold, which never falls, keeps valid. A mapping holds at
+    most one pair per query edge, and a connected mapping grows from any of
+    its pairs, so later phases need none of them. There _extensions skips
+    handled edges, and a state it leaves without extensions is offered only
+    when it has none at all: if a handled edge extends it, it is not
+    maximal. Each bound counts handled edges as settled, since none of them
+    can join: the state bound and the growth estimate take n_pairs +
+    len(handled), and the leaf pair bound, the seed-orientation bound, the
+    tree-node bound and the phase-1 query-edge bound take 1 + len(handled).
     exact_match and exact_relation are feature indices the match must keep
     exactly: a target edge seeds only when its association components on
     exact_relation equal the query edge's, and a seed orientation only when
-    its node values on exact_match equal the query nodes'.
+    its node values on exact_match equal the query nodes'. They are checked
+    only at seeds, so an answer's pair of a handled edge may fail a filter
+    that its pair of a later edge passes: while either is set, no query edge
+    counts as handled.
     """
     g = index.graph
     _check_compatible(q, g)
@@ -492,6 +523,9 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     pair_gain = scorer.pair_gain
     seed_bound = scorer.seed_bound
 
+    # query edges whose phase has ended; empty while a filter is active
+    handled = set()
+    exclude = not (exact_match or exact_relation)
     visited = set()
     found = set()
     tick = count()
@@ -505,6 +539,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         # each target edge sits in one leaf); the threshold only moves when
         # an answer is offered
         floor = ans.floor()
+        n_handled = len(handled)
         while pq:
             negb, _, _, score, nmap, sig = heappop(pq)
             if -negb <= floor:
@@ -513,8 +548,12 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                 break
             if audit is not None:
                 audit.expanded += 1
-            exts = _extensions(q, g, nmap, sig)
+            exts = _extensions(q, g, nmap, sig, handled)
             if not exts:
+                # a state that only a handled edge extends is not maximal;
+                # its maximal mappings were covered in that edge's phase
+                if n_handled and _extensions(q, g, nmap, sig):
+                    continue
                 if sig not in found:
                     found.add(sig)
                     ans.offer(score, sig, nmap, next(disc))
@@ -524,9 +563,10 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                         audit.least_trace.append(ans.least())
                 continue
             n2 = len(sig) + 1
+            settled2 = n2 + n_handled
             n_nodes = len(nmap)
             for qe2, te2, new in exts:
-                est = state_bound(score + pair_gain(qe2, te2, new), n2,
+                est = state_bound(score + pair_gain(qe2, te2, new), settled2,
                                   n_nodes + len(new)) + slack
                 if est <= floor:
                     if audit is not None:
@@ -544,7 +584,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                 else:
                     nm2 = nmap
                 score2 = state_score(nm2, sig2)
-                bound2 = state_bound(score2, n2, len(nm2))
+                bound2 = state_bound(score2, settled2, len(nm2))
                 if bound2 <= floor:
                     if audit is not None:
                         prune("growth", bound2)
@@ -561,12 +601,13 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         # first, ties by edge id; the queue pops by bound, so the order only
         # ranks seeds of equal bound
         floor = ans.floor()
+        settled = 1 + len(handled)
         keep = relation_ok[qe] if exact_relation else None
         scored = []
         for te in node.entries:
             if keep is not None and not keep[te]:
                 continue
-            bound = seed_bound(pair_gain(qe, te, ()))
+            bound = seed_bound(pair_gain(qe, te, ()), settled)
             if bound <= floor:
                 if audit is not None:
                     prune("seed", bound)
@@ -592,7 +633,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
             # offers
             oriented.sort(key=lambda t: -t[0])
             for score, nmap in oriented:
-                bound = state_bound(score, 1, len(nmap))
+                bound = state_bound(score, settled, len(nmap))
                 if bound <= floor:
                     if audit is not None:
                         prune("seed", bound)
@@ -603,7 +644,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     root = index.root
     root_values = [scorer.mbr_value(e, root.mbr) for e in range(m_q)]
     for qe in sorted(range(m_q), key=lambda e: (-root_values[e], e)):
-        bound = seed_bound(root_values[qe])
+        settled = 1 + len(handled)
+        bound = seed_bound(root_values[qe], settled)
         if bound <= ans.floor():
             if audit is not None:
                 prune("query-edge", bound)
@@ -614,7 +656,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         cands = [(-root_values[qe], root_w, next(tick), root)]
         while cands:
             negval, _, _, node = heappop(cands)
-            bound = seed_bound(-negval)
+            bound = seed_bound(-negval, settled)
             if bound <= ans.floor():
                 if audit is not None:
                     prune("tree-node", bound)
@@ -626,6 +668,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                 width = sum(h - l for l, h in zip(child.mbr.lo, child.mbr.hi))
                 heappush(cands, (-scorer.mbr_value(qe, child.mbr),
                                  width, next(tick), child))
+        if exclude:
+            handled.add(qe)
     return ans.ranked()
 
 

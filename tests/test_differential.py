@@ -7,6 +7,15 @@ lo == hi, a schema of one categorical-set feature, and directed targets
 holding both (u, v) and (v, u). Top-k is compared by score list and range
 by (score, signature) set; which of several tied mappings top-k returns is
 not compared.
+
+Queries of 3-5 edges take the search through three or more phases, each
+excluding the query edges handled before it, and unfiltered intent search
+is compared with an oracle built from enumerate_mcs and
+exemplar_similarity. Below the answer count, top-k score lists agree up to
+one defect of top-k search: it prunes a state whose bound equals the k-th
+score, so it can return a mapping one rounding step below the oracle's k-th
+score (see CHANGES.md); only the scores of that boundary class may differ,
+by no more than _growth_slack.
 """
 
 import numpy as np
@@ -14,11 +23,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contextgraph.exemplar import (AGG_MODES, WEIGHT_MODES,
+                                   exemplar_similarity, intent_topk)
 from contextgraph.graph import CATEGORICAL_SET, FeatureSchema, Graph
-from contextgraph.search import (SCORERS, SearchParams, naive_range,
-                                 naive_topk, range_search, topk_search)
+from contextgraph.search import (SCORERS, SearchParams, _extensions,
+                                 _growth_slack, _seed_orientations,
+                                 enumerate_mcs, naive_range, naive_topk,
+                                 range_search, topk_search)
+from contextgraph.similarity import Mapping
 from contextgraph.synth import MIXED_SCHEMA, grow_query, random_graph
-from conftest import index_with_tree
+from conftest import index_with_tree, shifted_exemplars
 
 SET_ONLY = FeatureSchema(("tags",), (CATEGORICAL_SET,))
 SHAPES = ("mixed", "equal-features", "set-only", "two-cycles")
@@ -90,3 +104,92 @@ def test_range_keeps_answers_scored_exactly_r(shape, seed, scorer):
     # mapping grown from it, and the state was pruned: range search must
     # allow for rounding before it prunes
     assert_range_agrees_at_every_score(shape, seed, scorer)
+
+
+def multi_phase_instance(rng, query_edges):
+    """Target of 5-9 nodes with at least as many edges as nodes, a query of
+    query_edges edges grown out of it, and an index on a random tree shape."""
+    n = int(rng.integers(5, 10))
+    m = int(rng.integers(n, min(2 * n, n * (n - 1) // 2) + 1))
+    g = random_graph(rng, n, m, directed=bool(rng.integers(0, 2)))
+    q = grow_query(g, query_edges, rng)
+    idx = index_with_tree(g, int(rng.integers(2, 5)), int(rng.integers(1, 7)))
+    return g, q, idx
+
+
+def assert_same_scores(got, want, m_q):
+    """Equal score lists, up to the top-k rounding defect of the module
+    docstring: a score may sit at most _growth_slack below the oracle's,
+    and only where the oracle's lies that close to its k-th score."""
+    assert len(got) == len(want)
+    slack = _growth_slack(m_q)
+    for mine, theirs in zip(got, want):
+        if mine != theirs:
+            assert theirs - slack <= mine < theirs
+            assert theirs - want[-1] <= slack
+
+
+def assert_maximal(q, g, matches):
+    for m in matches:
+        assert _extensions(q, g, m.mapping.node_map, m.mapping.signature()) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scorer=st.sampled_from(SCORERS),
+       query_edges=st.integers(3, 5))
+def test_later_phases_skip_handled_query_edges(seed, scorer, query_edges):
+    # a later phase adds no pair of a handled query edge and offers no state
+    # that only such a pair extends, and every bound drops the handled edges:
+    # answers must still be the oracle's, and every one of them maximal
+    rng = np.random.default_rng(seed)
+    g, q, idx = multi_phase_instance(rng, query_edges)
+    everything = naive_topk(q, g, 10 ** 9, scorer=scorer)
+    for k in (len(everything) + 1, int(rng.integers(1, len(everything) + 1))):
+        got = topk_search(q, idx, SearchParams(k=k, scorer=scorer))
+        assert_same_scores([m.score for m in got],
+                           [m.score for m in everything[:k]], q.n_edges)
+        assert_maximal(q, g, got)
+    r = everything[int(rng.integers(len(everything)))].score
+    got = range_search(q, idx, r, SearchParams(scorer=scorer))
+    assert answers(got) == answers(naive_range(q, g, r, scorer=scorer))
+    assert_maximal(q, g, got)
+
+
+def naive_intent(es, g, null_model, weight_mode, agg_mode):
+    """Reference unfiltered intent scores, best first: every maximal mapping
+    of the first exemplar, scored by exemplar_similarity; a one-pair
+    signature counts with its best maximal orientation, as in naive_topk."""
+    q = es.graphs[0]
+
+    def score(m):
+        return exemplar_similarity(m, es, g, null_model, weight_mode, agg_mode)
+
+    def best(m):
+        if len(m.edge_pairs) > 1:
+            return score(m)
+        sig = m.signature()
+        ((qe, te),) = sig
+        return max(score(Mapping(ori, sig))
+                   for ori in _seed_orientations(q, g, qe, te)
+                   if not _extensions(q, g, dict(ori), sig))
+
+    return sorted(map(best, enumerate_mcs(q, g)), reverse=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), query_edges=st.integers(2, 5))
+def test_unfiltered_intent_matches_the_exemplar_oracle(seed, query_edges):
+    # without filters intent search excludes handled query edges like any
+    # other search; the second exemplar's numeric feature is one higher, so
+    # the exemplars score a mapping differently
+    rng = np.random.default_rng(seed)
+    g, q, idx = multi_phase_instance(rng, query_edges)
+    es = shifted_exemplars(q)
+    for weight_mode in WEIGHT_MODES:
+        for agg_mode in AGG_MODES:
+            want = naive_intent(es, g, idx.null_model, weight_mode, agg_mode)
+            k = int(rng.integers(1, len(want) + 2))
+            got = intent_topk(es, idx, SearchParams(k=k), weight_mode,
+                              agg_mode, use_filters=False)
+            assert_same_scores([m.score for m in got], want[:k], q.n_edges)
+            assert_maximal(q, g, got)

@@ -16,7 +16,8 @@ from contextgraph.graph import (CATEGORICAL, NUMERIC, FeatureSchema, Graph,
                                 GraphLoadError)
 from contextgraph.index import build_index
 from contextgraph.search import SearchParams, naive_topk, topk_search
-from contextgraph.similarity import (Mapping, contextual_graph_similarity,
+from contextgraph.similarity import (Mapping, association_vectors,
+                                     contextual_graph_similarity,
                                      edge_similarity)
 from contextgraph.synth import grow_query, random_graph
 from conftest import COLLAB_SCHEMA, index_with_tree, intent_scorer
@@ -244,6 +245,31 @@ class TestIntentSearch:
         got = intent_topk(es, idx, SearchParams(k=10))
         assert len(got) == 1
         assert {te for _, te in got[0].mapping.edge_pairs} == {0}
+
+    def test_filters_keep_handled_query_edges_open(self):
+        # filters are checked only at seeds, so an answer may hold a pair of
+        # the first-ranked query edge that fails the relation filter while
+        # its pair of a later query edge passes and seeds it; while a filter
+        # is active, later phases must still add pairs of handled query
+        # edges. Checking the filters on every grown pair will change this
+        # on purpose (ROADMAP.md, intent filters that hold on every pair)
+        e1 = Graph(False, ORG_SCHEMA, org_edge("o1", "a1", 10, "o1", "a2", 20) +
+                   [("o1", "a3", 10.0)], [(0, 1), (1, 2)])
+        e2 = Graph(False, ORG_SCHEMA, org_edge("o2", "a4", 10, "o2", "a5", 15) +
+                   [("o2", "a6", 10.0)], [(0, 1), (1, 2)])
+        es = ExemplarSet([e1, e2], [IDENTITY3])
+        # org links target edge 1 but not target edge 0
+        target = Graph(False, ORG_SCHEMA,
+                       org_edge("oA", "b1", 10, "oB", "b2", 20) +
+                       [("oB", "b3", 10.0)], [(0, 1), (1, 2)])
+        idx = build_index(target)
+        assert detect_exact_relation_features(es) == (0, 1)
+        # both query edges have one association vector per exemplar, so they
+        # tie on their bound and query edge 0 is handled first
+        assert len(set(association_vectors(e1))) == 1
+        assert len(set(association_vectors(e2))) == 1
+        got = intent_topk(es, idx, SearchParams(k=10))
+        assert ((0, 0), (1, 1)) in {m.mapping.signature() for m in got}
 
     def test_scores_aggregate_all_exemplars(self):
         # every answer's score equals the reference aggregate bit for bit,

@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -652,17 +653,20 @@ class TestSeedPairBound:
     def test_pair_bound_covers_every_orientation(self, seed, kind, query_edges):
         # a leaf entry is dropped on seed_bound(pair_gain) before any of its
         # orientations is scored, so that bound must be at least the bound
-        # of every orientation; a contextual seed reaches it exactly
+        # of every orientation, at every count of settled edges (the seed
+        # plus the query edges handled before it); a contextual seed reaches
+        # it exactly
         rng = np.random.default_rng(seed)
         g, q = make_instance(rng, max_nodes=12, query_edges=query_edges)
         scorer = make_scorer(kind, q, index_with_tree(g, leaf_threshold=3))
-        for qe in range(q.n_edges):
-            for te in range(g.n_edges):
-                pair_bound = scorer.seed_bound(scorer.pair_gain(qe, te, ()))
+        for qe, te in product(range(q.n_edges), range(g.n_edges)):
+            for settled in range(1, q.n_edges + 1):
+                pair_bound = scorer.seed_bound(scorer.pair_gain(qe, te, ()),
+                                               settled)
                 for ori in _seed_orientations(q, g, qe, te):
                     sig = ((qe, te),)
                     seed_bound = scorer.state_bound(
-                        scorer.state_score(dict(ori), sig), 1, 2)
+                        scorer.state_score(dict(ori), sig), settled, 2)
                     if kind == "contextual":
                         assert seed_bound == pair_bound
                     else:
