@@ -292,7 +292,8 @@ def build_parser():
                    default=WEIGHT_MODES[0])
     p.add_argument("--agg-mode", choices=AGG_MODES, default=AGG_MODES[0])
     p.add_argument("--no-filters", action="store_true",
-                   help="score without exact-match/exact-relation filters")
+                   help="drop the exact-match/exact-relation filters, which "
+                        "otherwise every matched node and edge must keep")
     p.set_defaults(func=cmd_intent)
 
     p = sub.add_parser("stats", help="describe an index")

@@ -223,10 +223,13 @@ def intent_topk(es, index, params=SearchParams(), weight_mode=WEIGHT_MODES[0],
     The first exemplar drives the growth; scores aggregate all exemplars
     under the modes of exemplar_similarity. params.scorer must be
     "contextual"; it and the modes are checked before weights are learned.
-    With use_filters the exact-match / exact-relation features restrict
-    which target edges may seed the search. context is the exemplar set's
-    HybridContext under the index's null model when the caller already has
-    it; otherwise it is learned here.
+    With use_filters the exact-match / exact-relation features are hard
+    requirements on every answer: each matched pair keeps the query edge's
+    association components on the exact-relation features, each mapped node
+    keeps the query node's values on the exact-match features, and an answer
+    is maximal when no pair that keeps both extends it. context is the
+    exemplar set's HybridContext under the index's null model when the
+    caller already has it; otherwise it is learned here.
     """
     if params.scorer != "contextual":
         raise ValueError(f"intent search scores contextually, not with "

@@ -25,8 +25,12 @@ every mapping holding a pair of a handled edge was grown from that pair or
 cut on a bound, so later growth never adds such a pair, never offers a state
 that only such a pair extends, and counts handled edges as settled in every
 bound. This is the set-enumeration tree's rule that each set is reached
-from one root only (Rymon, KR 1992). Intent filters turn it off (see
-_search).
+from one root only (Rymon, KR 1992).
+
+Intent search may carry filters: features a match must keep exactly. They
+hold on every pair and every mapped node, at seeds and in growth alike, so
+a filtered search grows and offers only admissible mappings, and a mapping
+is maximal when no admissible pair extends it (see admissible).
 """
 
 import math
@@ -36,6 +40,7 @@ from dataclasses import dataclass
 from functools import reduce
 from heapq import heappop, heappush, heapreplace
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,16 +105,64 @@ def _check_compatible(q, g):
         raise ValueError("query and target must agree on directedness")
 
 
-def _seed_orientations(q, g, qe, te):
-    """Node assignments mapping query edge qe onto target edge te."""
+class Admissible(NamedTuple):
+    """The pairs and node assignments a filtered search may use.
+
+    pair_ok[qe][te] and node_ok[qn][tn] are rows of booleans, read by index.
+    A pair (qe, te) that assigns nodes new is admissible when pair_ok[qe][te]
+    and node_ok[qn][tn] for every (qn, tn) in new; a seed assigns both of
+    its nodes. Built by admissible.
+    """
+
+    pair_ok: list
+    node_ok: list
+
+
+def admissible(q, g, q_assoc, g_assoc, exact_match, exact_relation):
+    """The Admissible tables of intent filters on query q and target g.
+
+    exact_relation and exact_match are feature indices a match must keep
+    exactly: pair (qe, te) is admissible when te's association components
+    (g_assoc, by target edge) on exact_relation equal qe's (q_assoc, by
+    query edge), and node assignment (qn, tn) when tn's values on
+    exact_match equal qn's. A table whose filter is empty is all True.
+    """
+    rel = list(exact_relation)
+    pair_ok = (np.asarray(q_assoc, dtype=float)[:, None, rel] ==
+               np.asarray(g_assoc, dtype=float)[None, :, rel]).all(axis=2)
+    # one integer code per distinct value, so values of every kind compare
+    # in one array pass; a code is shared only by equal values
+    codes = {}
+    em = list(exact_match)
+
+    def coded(rows):
+        return np.array([[codes.setdefault(row[f], len(codes)) for f in em]
+                         for row in rows], dtype=np.int64)
+
+    node_ok = (coded(q.node_features)[:, None, :] ==
+               coded(g.node_features)[None, :, :]).all(axis=2)
+    return Admissible([memoryview(row) for row in pair_ok],
+                      [memoryview(row) for row in node_ok])
+
+
+def _seed_orientations(q, g, qe, te, admit=None):
+    """Node assignments mapping query edge qe onto target edge te; with an
+    Admissible admit, only those it admits."""
     u, v = q.edges[qe]
     a, b = g.edges[te]
     if g.directed:
-        return (((u, a), (v, b)),)
-    return (((u, a), (v, b)), ((u, b), (v, a)))
+        oris = (((u, a), (v, b)),)
+    else:
+        oris = (((u, a), (v, b)), ((u, b), (v, a)))
+    if admit is None:
+        return oris
+    if not admit.pair_ok[qe][te]:
+        return ()
+    node_ok = admit.node_ok
+    return tuple(ori for ori in oris if all(node_ok[qn][tn] for qn, tn in ori))
 
 
-def _extensions(q, g, nmap, pairs, handled=()):
+def _extensions(q, g, nmap, pairs, handled=(), admit=None):
     """All single-pair extensions of a connected mapping.
 
     Returns (query edge, target edge, new node assignments) triples in
@@ -119,7 +172,8 @@ def _extensions(q, g, nmap, pairs, handled=()):
     one endpoint is mapped; the target edge must be unused,
     direction-consistent, and respect injectivity. handled holds the query
     edges an indexed search has finished, whose pairs later growth never
-    adds (see _search); the default excludes none.
+    adds (see _search); the default excludes none. With an Admissible
+    admit, only the extensions it admits are returned.
     """
     out = []
     used_te = {te for _, te in pairs}
@@ -127,6 +181,7 @@ def _extensions(q, g, nmap, pairs, handled=()):
     used_qe.update(handled)
     mapped_targets = set(nmap.values())
     directed = g.directed
+    edges = g.edges
     for qe in range(q.n_edges):
         if qe in used_qe:
             continue
@@ -137,17 +192,27 @@ def _extensions(q, g, nmap, pairs, handled=()):
             continue
         if mu is not None and mv is not None:
             te = g.edge_between(mu, mv)
-            if te is not None and te not in used_te:
+            if te is not None and te not in used_te and (
+                    admit is None or admit.pair_ok[qe][te]):
                 out.append((qe, te, ()))
             continue
         if mu is not None:
             anchor_q, free_q, anchor_t = u, v, mu
         else:
             anchor_q, free_q, anchor_t = v, u, mv
-        for te in g.incident[anchor_t]:
+        incident = g.incident[anchor_t]
+        if admit is not None:
+            # the edges whose pair and whose endpoint across from the anchor
+            # (a + b - anchor) the filters admit; the loop below is as
+            # without filters
+            pair_ok = admit.pair_ok[qe]
+            node_ok = admit.node_ok[free_q]
+            incident = [te for te in incident if pair_ok[te] and
+                        node_ok[sum(edges[te]) - anchor_t]]
+        for te in incident:
             if te in used_te:
                 continue
-            a, b = g.edges[te]
+            a, b = edges[te]
             if directed:
                 if anchor_q == u:
                     if a != anchor_t:
@@ -165,12 +230,14 @@ def _extensions(q, g, nmap, pairs, handled=()):
     return out
 
 
-def enumerate_mcs(q, g, deadline=None):
+def enumerate_mcs(q, g, deadline=None, admit=None):
     """Every maximal connected mapping, deduplicated by signature.
 
     Exhaustive depth-first growth from all compatible seeds with global
     state deduplication. Raises SearchTimeout past the optional monotonic
-    deadline. Results come back in signature order.
+    deadline. With an Admissible admit, seeds and extensions are only those
+    it admits, and a mapping is maximal when no admissible pair extends it.
+    Results come back in signature order.
     """
     _check_compatible(q, g)
     found = {}
@@ -178,7 +245,7 @@ def enumerate_mcs(q, g, deadline=None):
     stack = []
     for qe in range(q.n_edges):
         for te in range(g.n_edges):
-            for ori in _seed_orientations(q, g, qe, te):
+            for ori in _seed_orientations(q, g, qe, te, admit):
                 stack.append((dict(ori), frozenset(((qe, te),)), ((qe, te),)))
     ticks = 0
     while stack:
@@ -186,7 +253,7 @@ def enumerate_mcs(q, g, deadline=None):
         if deadline is not None and ticks % 1024 == 1 and time.monotonic() > deadline:
             raise SearchTimeout("enumeration exceeded its deadline")
         nmap, pairs, sig = stack.pop()
-        exts = _extensions(q, g, nmap, pairs)
+        exts = _extensions(q, g, nmap, pairs, admit=admit)
         if not exts:
             if sig not in found:
                 found[sig] = Mapping(nmap, pairs)
@@ -489,12 +556,13 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     len(handled), and the leaf pair bound, the seed-orientation bound, the
     tree-node bound and the phase-1 query-edge bound take 1 + len(handled).
     exact_match and exact_relation are feature indices the match must keep
-    exactly: a target edge seeds only when its association components on
-    exact_relation equal the query edge's, and a seed orientation only when
-    its node values on exact_match equal the query nodes'. They are checked
-    only at seeds, so an answer's pair of a handled edge may fail a filter
-    that its pair of a later edge passes: while either is set, no query edge
-    counts as handled.
+    exactly, on every pair and every mapped node (see admissible): a leaf
+    entry te is dropped before its pair bound when (qe, te) fails the
+    relation filter, a seed orientation when a node fails the match filter,
+    and _extensions offers growth only admissible pairs. An admissible
+    mapping grows from any of its pairs through admissible pairs alone, so
+    the argument above holds for filtered search too, and a state is offered
+    when no admissible pair extends it.
     """
     g = index.graph
     _check_compatible(q, g)
@@ -512,32 +580,32 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     q_summaries = neighborhood_summary(q, q_assoc).tolist()
     order_w = scorer.order_weights
     summaries = index.summaries
-    if exact_relation:
-        # relation_ok[qe][te]: te's association components on exact_relation
-        # equal query edge qe's
-        rel = list(exact_relation)
-        same = (np.asarray(q_assoc)[:, None, rel] == index.assoc[None, :, rel])
-        relation_ok = [memoryview(row) for row in same.all(axis=2)]
+    admit = None
+    if exact_match or exact_relation:
+        admit = admissible(q, g, q_assoc, index.assoc, exact_match,
+                           exact_relation)
     state_score = scorer.state_score
     state_bound = scorer.state_bound
     pair_gain = scorer.pair_gain
     seed_bound = scorer.seed_bound
 
-    # query edges whose phase has ended; empty while a filter is active
+    # query edges whose phase has ended
     handled = set()
-    exclude = not (exact_match or exact_relation)
-    visited = set()
-    found = set()
     tick = count()
     disc = count(1)
 
     def grow(pq):
         # a connected mapping with two or more pairs is fully determined by
         # its signature (shared endpoints force every node assignment), so
-        # the signature alone is a sound visited key past the seed level (a
-        # seed is met once per search: each query edge is handled once and
-        # each target edge sits in one leaf); the threshold only moves when
-        # an answer is offered
+        # the signature alone is a sound visited key past the seed level.
+        # Every state of this queue holds exactly one pair of the current
+        # query edge, with a target edge of this leaf, and no pair of a
+        # handled edge; each target edge sits in one leaf and each query
+        # edge is handled once, so no other queue of the search meets any
+        # of these states, and visited and found live as long as this
+        # queue. The threshold only moves when an answer is offered
+        visited = set()
+        found = set()
         floor = ans.floor()
         n_handled = len(handled)
         while pq:
@@ -548,11 +616,11 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                 break
             if audit is not None:
                 audit.expanded += 1
-            exts = _extensions(q, g, nmap, sig, handled)
+            exts = _extensions(q, g, nmap, sig, handled, admit)
             if not exts:
                 # a state that only a handled edge extends is not maximal;
                 # its maximal mappings were covered in that edge's phase
-                if n_handled and _extensions(q, g, nmap, sig):
+                if n_handled and _extensions(q, g, nmap, sig, admit=admit):
                     continue
                 if sig not in found:
                     found.add(sig)
@@ -602,7 +670,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         # ranks seeds of equal bound
         floor = ans.floor()
         settled = 1 + len(handled)
-        keep = relation_ok[qe] if exact_relation else None
+        keep = admit.pair_ok[qe] if admit is not None else None
         scored = []
         for te in node.entries:
             if keep is not None and not keep[te]:
@@ -620,11 +688,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         for _, te in scored:
             sig = ((qe, te),)
             oriented = []
-            for ori in _seed_orientations(q, g, qe, te):
-                if exact_match and any(
-                        q.node_features[qn][f] != g.node_features[tn][f]
-                        for qn, tn in ori for f in exact_match):
-                    continue
+            for ori in _seed_orientations(q, g, qe, te, admit):
                 nmap = dict(ori)
                 oriented.append((state_score(nmap, sig), nmap))
             # best-scoring orientation first, ties in _seed_orientations
@@ -668,8 +732,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                 width = sum(h - l for l, h in zip(child.mbr.lo, child.mbr.hi))
                 heappush(cands, (-scorer.mbr_value(qe, child.mbr),
                                  width, next(tick), child))
-        if exclude:
-            handled.add(qe)
+        handled.add(qe)
     return ans.ranked()
 
 

@@ -80,6 +80,18 @@ def shifted_exemplars(q):
     return ExemplarSet([q, twin], [{u: u for u in range(q.n_nodes)}])
 
 
+def filtered_exemplars(q):
+    """Exemplar set of q and a copy linked by the identity bijection, on
+    MIXED_SCHEMA: the copy's numeric level is one higher on every node and
+    its categorical kind is renamed by one injective map, so its tags match
+    node for node (an exact-match filter) while kind agrees only edgewise
+    (an exact-relation filter)."""
+    feats = [(row[0] + 1.0, row[1] + "2") + tuple(row[2:])
+             for row in q.node_features]
+    twin = Graph(q.directed, q.schema, feats, q.edges, q.node_ids)
+    return ExemplarSet([q, twin], [{u: u for u in range(q.n_nodes)}])
+
+
 def intent_scorer(es, index, **modes):
     """The scorer intent_topk hands to the search engine for es, index and
     the given keyword arguments; the search itself is not run."""

@@ -9,13 +9,15 @@ by (score, signature) set; which of several tied mappings top-k returns is
 not compared.
 
 Queries of 3-5 edges take the search through three or more phases, each
-excluding the query edges handled before it, and unfiltered intent search
-is compared with an oracle built from enumerate_mcs and
-exemplar_similarity. Below the answer count, top-k score lists agree up to
-one defect of top-k search: it prunes a state whose bound equals the k-th
-score, so it can return a mapping one rounding step below the oracle's k-th
-score (see CHANGES.md); only the scores of that boundary class may differ,
-by no more than _growth_slack.
+excluding the query edges handled before it, and intent search, with and
+without its filters, is compared with an oracle built from enumerate_mcs
+and exemplar_similarity; with filters, the oracle grows only pairs and
+nodes that keep them, from tables built here from the features. Below the
+answer count, top-k score lists agree up to one defect of top-k search: it
+prunes a state whose bound equals the k-th score, so it can return a
+mapping one rounding step below the oracle's k-th score (see CHANGES.md);
+only the scores of that boundary class may differ, by no more than
+_growth_slack.
 """
 
 import numpy as np
@@ -24,15 +26,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contextgraph.exemplar import (AGG_MODES, WEIGHT_MODES,
-                                   exemplar_similarity, intent_topk)
+                                   exemplar_similarity, hybrid_context,
+                                   intent_topk)
 from contextgraph.graph import CATEGORICAL_SET, FeatureSchema, Graph
-from contextgraph.search import (SCORERS, SearchParams, _extensions,
-                                 _growth_slack, _seed_orientations,
+from contextgraph.search import (SCORERS, Admissible, SearchParams,
+                                 _extensions, _growth_slack,
+                                 _seed_orientations, admissible,
                                  enumerate_mcs, naive_range, naive_topk,
                                  range_search, topk_search)
-from contextgraph.similarity import Mapping
+from contextgraph.similarity import Mapping, association_vectors
 from contextgraph.synth import MIXED_SCHEMA, grow_query, random_graph
-from conftest import index_with_tree, shifted_exemplars
+from conftest import filtered_exemplars, index_with_tree, shifted_exemplars
 
 SET_ONLY = FeatureSchema(("tags",), (CATEGORICAL_SET,))
 SHAPES = ("mixed", "equal-features", "set-only", "two-cycles")
@@ -129,9 +133,10 @@ def assert_same_scores(got, want, m_q):
             assert theirs - want[-1] <= slack
 
 
-def assert_maximal(q, g, matches):
+def assert_maximal(q, g, matches, admit=None):
     for m in matches:
-        assert _extensions(q, g, m.mapping.node_map, m.mapping.signature()) == []
+        assert _extensions(q, g, m.mapping.node_map, m.mapping.signature(),
+                           admit=admit) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -155,10 +160,12 @@ def test_later_phases_skip_handled_query_edges(seed, scorer, query_edges):
     assert_maximal(q, g, got)
 
 
-def naive_intent(es, g, null_model, weight_mode, agg_mode):
-    """Reference unfiltered intent scores, best first: every maximal mapping
-    of the first exemplar, scored by exemplar_similarity; a one-pair
-    signature counts with its best maximal orientation, as in naive_topk."""
+def naive_intent(es, g, null_model, weight_mode, agg_mode, admit=None):
+    """Reference intent scores, best first: every maximal mapping of the
+    first exemplar, scored by exemplar_similarity; a one-pair signature
+    counts with its best maximal orientation, as in naive_topk. With an
+    Admissible admit, mappings, orientations and maximality are those of
+    the pairs and nodes it admits."""
     q = es.graphs[0]
 
     def score(m):
@@ -170,10 +177,23 @@ def naive_intent(es, g, null_model, weight_mode, agg_mode):
         sig = m.signature()
         ((qe, te),) = sig
         return max(score(Mapping(ori, sig))
-                   for ori in _seed_orientations(q, g, qe, te)
-                   if not _extensions(q, g, dict(ori), sig))
+                   for ori in _seed_orientations(q, g, qe, te, admit)
+                   if not _extensions(q, g, dict(ori), sig, admit=admit))
 
-    return sorted(map(best, enumerate_mcs(q, g)), reverse=True)
+    return sorted(map(best, enumerate_mcs(q, g, admit=admit)), reverse=True)
+
+
+def reference_admissible(q, g, hc):
+    """Admissible tables of hc's filters, read off the features one pair and
+    one node at a time: a pair keeps every exact-relation association
+    component, a node assignment every exact-match value."""
+    qa, ga = association_vectors(q), association_vectors(g)
+    return Admissible(
+        [[all(qa[qe][f] == ga[te][f] for f in hc.exact_relation)
+          for te in range(g.n_edges)] for qe in range(q.n_edges)],
+        [[all(q.node_features[qn][f] == g.node_features[tn][f]
+              for f in hc.exact_match)
+          for tn in range(g.n_nodes)] for qn in range(q.n_nodes)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -193,3 +213,31 @@ def test_unfiltered_intent_matches_the_exemplar_oracle(seed, query_edges):
                               agg_mode, use_filters=False)
             assert_same_scores([m.score for m in got], want[:k], q.n_edges)
             assert_maximal(q, g, got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), query_edges=st.integers(2, 5))
+def test_filtered_intent_matches_the_exemplar_oracle(seed, query_edges):
+    # the filters hold on every pair and node, so handled query edges are
+    # excluded as in unfiltered search, and an answer is maximal when no
+    # admissible pair extends it; the second exemplar keeps tags node for
+    # node and kind only edgewise, so both filters are active
+    rng = np.random.default_rng(seed)
+    g, q, idx = multi_phase_instance(rng, query_edges)
+    es = filtered_exemplars(q)
+    hc = hybrid_context(es, idx.null_model)
+    assert hc.exact_match and hc.exact_relation
+    admit = reference_admissible(q, g, hc)
+    tables = admissible(q, g, hc.aligned[0], idx.assoc, hc.exact_match,
+                        hc.exact_relation)
+    assert [list(row) for row in tables.pair_ok] == admit.pair_ok
+    assert [list(row) for row in tables.node_ok] == admit.node_ok
+    for weight_mode in WEIGHT_MODES:
+        for agg_mode in AGG_MODES:
+            want = naive_intent(es, g, idx.null_model, weight_mode, agg_mode,
+                                admit)
+            k = int(rng.integers(1, len(want) + 2))
+            got = intent_topk(es, idx, SearchParams(k=k), weight_mode,
+                              agg_mode)
+            assert_same_scores([m.score for m in got], want[:k], q.n_edges)
+            assert_maximal(q, g, got, admit)

@@ -20,7 +20,8 @@ from contextgraph.similarity import (Mapping, association_vectors,
                                      contextual_graph_similarity,
                                      edge_similarity)
 from contextgraph.synth import grow_query, random_graph
-from conftest import COLLAB_SCHEMA, index_with_tree, intent_scorer
+from conftest import (COLLAB_SCHEMA, filtered_exemplars, index_with_tree,
+                      intent_scorer)
 
 IDENTITY3 = {0: 0, 1: 1, 2: 2}
 
@@ -246,13 +247,11 @@ class TestIntentSearch:
         assert len(got) == 1
         assert {te for _, te in got[0].mapping.edge_pairs} == {0}
 
-    def test_filters_keep_handled_query_edges_open(self):
-        # filters are checked only at seeds, so an answer may hold a pair of
-        # the first-ranked query edge that fails the relation filter while
-        # its pair of a later query edge passes and seeds it; while a filter
-        # is active, later phases must still add pairs of handled query
-        # edges. Checking the filters on every grown pair will change this
-        # on purpose (ROADMAP.md, intent filters that hold on every pair)
+    def test_filters_hold_on_every_grown_pair(self):
+        # filters hold on every pair growth adds, not only at seeds: target
+        # edge 0's org link fails the relation filter, so no answer holds
+        # it, not even one grown from target edge 1, which seeds; both query
+        # edges are handled in turn, and the one answer is edge 1 alone
         e1 = Graph(False, ORG_SCHEMA, org_edge("o1", "a1", 10, "o1", "a2", 20) +
                    [("o1", "a3", 10.0)], [(0, 1), (1, 2)])
         e2 = Graph(False, ORG_SCHEMA, org_edge("o2", "a4", 10, "o2", "a5", 15) +
@@ -269,7 +268,38 @@ class TestIntentSearch:
         assert len(set(association_vectors(e1))) == 1
         assert len(set(association_vectors(e2))) == 1
         got = intent_topk(es, idx, SearchParams(k=10))
-        assert ((0, 0), (1, 1)) in {m.mapping.signature() for m in got}
+        assert got
+        assert all(te != 0 for m in got for _, te in m.mapping.edge_pairs)
+        unfiltered = intent_topk(es, idx, SearchParams(k=10), use_filters=False)
+        assert ((0, 0), (1, 1)) in {m.mapping.signature() for m in unfiltered}
+
+    def test_no_answer_breaks_a_filter(self):
+        # the second exemplar keeps tags node for node and kind only
+        # edgewise, so both filters are active: every pair of every answer
+        # keeps the query edge's exact-relation components, and every mapped
+        # node the query node's exact-match values
+        rng = np.random.default_rng(5)
+        g = random_graph(rng, 30, 70)
+        idx = index_with_tree(g, leaf_threshold=6)
+        ga = association_vectors(g)
+        checked = 0
+        for _ in range(6):
+            q = grow_query(g, 4, rng)
+            es = filtered_exemplars(q)
+            hc = hybrid_context(es, idx.null_model)
+            assert hc.exact_match and hc.exact_relation
+            qa = association_vectors(q)
+            for agg_mode in ("min", "mean"):
+                for m in intent_topk(es, idx, SearchParams(k=20),
+                                     agg_mode=agg_mode):
+                    for qe, te in m.mapping.edge_pairs:
+                        assert all(qa[qe][f] == ga[te][f]
+                                   for f in hc.exact_relation)
+                    for qn, tn in m.mapping.node_map.items():
+                        assert all(q.node_features[qn][f] == g.node_features[tn][f]
+                                   for f in hc.exact_match)
+                    checked += 1
+        assert checked
 
     def test_scores_aggregate_all_exemplars(self):
         # every answer's score equals the reference aggregate bit for bit,
