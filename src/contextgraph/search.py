@@ -15,10 +15,11 @@ neighborhood similarity, as seeds into one bound-ordered growth queue
 (phase 3). A leaf entry whose pair value alone cannot beat the answer
 threshold is dropped before it is ordered. Growth prunes a child in two
 stages: first on a bound estimated from its parent's score and the pair it
-adds, before the child is built or remembered, then on the bound of its
-canonical score. Every discarded state is covered by an upper bound that
-cannot beat the current answer threshold, so the returned score multiset
-equals the naive one.
+adds, and a child that survives is queued unbuilt under that estimate; it
+is built, remembered and scored only when the queue pops it, and then cut
+on the bound of its canonical score. Every discarded state is covered by
+an upper bound that cannot beat the current answer threshold, so the
+returned score multiset equals the naive one.
 
 Each query edge is handled once, and later phases leave handled edges out:
 every mapping holding a pair of a handled edge was grown from that pair or
@@ -88,7 +89,9 @@ class SearchAudit:
     the time of the prune; bound <= threshold for each entry certifies that no
     prune could have removed a result that belongs in the answer set. A
     "seed" prune counts once per leaf entry dropped on its pair bound, and
-    once per seed orientation dropped after it was scored.
+    once per seed orientation dropped after it was scored. A "growth" prune
+    counts once per child dropped on its estimate before it is queued, and
+    once per child cut on its canonical bound when it is popped.
     """
 
     def __init__(self):
@@ -494,6 +497,9 @@ def _growth_slack(m_q):
     exemplar mean divides its sums by u. So the two sides move apart by less
     than 2 * (2*m_q + 4 + u) * (2*m_q + 2) * 2**-53, which this slack of
     512 * (m_q + 1)**2 * 2**-53 covers for up to 250 exemplars.
+    The same inequality keeps a queued child's key, its estimate plus this
+    slack, at or above its canonical bound, so a growth queue may stop at
+    the first key that cannot beat the threshold before building the child.
     Range search prunes a state only on a bound below r - slack: the same
     count of roundings separates a state's canonical bound from the score of
     any mapping grown from it, which in exact arithmetic cannot exceed it.
@@ -539,10 +545,16 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     and drops it before its signature is built, remembered or scored; the
     slack makes this estimate at least the child's canonical bound despite
     rounding, so it only drops children the second stage would drop. A child
-    that survives is scored canonically by state_score and cut on that
-    bound, so answers and the order of pushes match a search without the
-    first stage; a child dropped early is not remembered, so it may be
-    reached and dropped again.
+    that survives is queued unbuilt, keyed by that estimate, as its parent's
+    state and the extension that makes it. Only when the queue pops it is
+    its signature built, checked against the visited set, its node map
+    copied and its score computed canonically by state_score; it is cut on
+    that bound or expanded at once. Most children are never popped, since a
+    queue stops at its first key that cannot beat the threshold, and the key
+    is at least the child's canonical bound, so the stop stays sound. A
+    child dropped early, or queued again by another parent before its first
+    pop, is not remembered, so it may be reached and dropped again; only its
+    first pop expands it.
     Phase 1 adds a query edge to handled once its tree descent has run out
     or been cut. Every mapping holding a pair of a handled edge qe0 is then
     covered: it was grown from its qe0 seed, or it was cut on a bound that
@@ -603,17 +615,37 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         # handled edge; each target edge sits in one leaf and each query
         # edge is handled once, so no other queue of the search meets any
         # of these states, and visited and found live as long as this
-        # queue. The threshold only moves when an answer is offered
+        # queue. Children are built at their pop, so the visited check sits
+        # there: one child may be queued once per parent that reaches it,
+        # and only its first pop expands it. The threshold only moves when
+        # an answer is offered
         visited = set()
         found = set()
         floor = ans.floor()
         n_handled = len(handled)
         while pq:
-            negb, _, _, score, nmap, sig = heappop(pq)
+            negb, _, _, score, nmap, sig, ext = heappop(pq)
             if -negb <= floor:
                 if audit is not None:
                     prune("growth-queue", -negb)
                 break
+            if ext is not None:
+                qe2, te2, new = ext
+                pair = (qe2, te2)
+                pos = bisect_left(sig, pair)
+                sig = sig[:pos] + (pair,) + sig[pos:]
+                if sig in visited:
+                    continue
+                visited.add(sig)
+                if new:
+                    nmap = dict(nmap)
+                    nmap.update(new)
+                score = state_score(nmap, sig)
+                bound = state_bound(score, len(sig) + n_handled, len(nmap))
+                if bound <= floor:
+                    if audit is not None:
+                        prune("growth", bound)
+                    continue
             if audit is not None:
                 audit.expanded += 1
             exts = _extensions(q, g, nmap, sig, handled, admit)
@@ -633,33 +665,17 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
             n2 = len(sig) + 1
             settled2 = n2 + n_handled
             n_nodes = len(nmap)
-            for qe2, te2, new in exts:
+            for ext in exts:
+                qe2, te2, new = ext
                 est = state_bound(score + pair_gain(qe2, te2, new), settled2,
                                   n_nodes + len(new)) + slack
                 if est <= floor:
                     if audit is not None:
                         prune("growth", est)
                     continue
-                pair = (qe2, te2)
-                pos = bisect_left(sig, pair)
-                sig2 = sig[:pos] + (pair,) + sig[pos:]
-                if sig2 in visited:
-                    continue
-                visited.add(sig2)
-                if new:
-                    nm2 = dict(nmap)
-                    nm2.update(new)
-                else:
-                    nm2 = nmap
-                score2 = state_score(nm2, sig2)
-                bound2 = state_bound(score2, settled2, len(nm2))
-                if bound2 <= floor:
-                    if audit is not None:
-                        prune("growth", bound2)
-                    continue
-                # equal bounds pop deepest-first: finishing a mapping early
+                # equal keys pop deepest-first: finishing a mapping early
                 # raises the answer threshold and shrinks the frontier
-                heappush(pq, (-bound2, m_q - n2, next(tick), score2, nm2, sig2))
+                heappush(pq, (-est, m_q - n2, next(tick), score, nmap, sig, ext))
 
     def handle_leaf(qe, node):
         # an entry whose pair value alone cannot beat the answer threshold
@@ -702,7 +718,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                     if audit is not None:
                         prune("seed", bound)
                     continue
-                heappush(pq, (-bound, m_q - 1, next(tick), score, nmap, sig))
+                heappush(pq, (-bound, m_q - 1, next(tick), score, nmap, sig,
+                              None))
         grow(pq)
 
     root = index.root

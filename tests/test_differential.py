@@ -241,3 +241,17 @@ def test_filtered_intent_matches_the_exemplar_oracle(seed, query_edges):
                               agg_mode)
             assert_same_scores([m.score for m in got], want[:k], q.n_edges)
             assert_maximal(q, g, got, admit)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 8: top-k prunes a state whose bound equals the k-th "
+    "score, so it can return a mapping one rounding step below it"))
+@pytest.mark.parametrize("shape, seed, k", [("mixed", 76, 4),
+                                            ("two-cycles", 287, 12)])
+def test_topk_keeps_the_kth_score(shape, seed, k):
+    # the traditional scorer rounds a mapping's canonical score one step
+    # above the bound of the state it was grown from
+    g, q, idx = tiny_instance(np.random.default_rng(seed), shape)
+    got = topk_search(q, idx, SearchParams(k=k, scorer="traditional"))
+    want = naive_topk(q, g, k, scorer="traditional")
+    assert [m.score for m in got] == [m.score for m in want]
