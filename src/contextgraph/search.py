@@ -379,13 +379,14 @@ class _PairTableScorer:
                   for qa, w in zip(self.q_assocs, self.per_weights)]
         return min(values) if self.agg_min else sum(values) / self.u
 
-    def seed_bound(self, value, n_settled):
-        return value + (self.m_q - n_settled)
-
 
 class _TraditionalScorer:
-    """Context-free node+edge score; index phases order on uniform weights
-    and never prune on seed bounds (no box bound exists for node terms)."""
+    """Context-free node+edge score; leaf entries order on uniform weights.
+
+    A pair's edge term is 1 wherever its target edge lies, so 1.0 is the
+    exact value of every tree box; the node terms, each at most 1, are
+    covered by state_bound's n_q - n_nodes at n_nodes = 0.
+    """
 
     def __init__(self, q, index):
         d = len(q.schema)
@@ -427,10 +428,7 @@ class _TraditionalScorer:
         return score + (self.m_q - n_pairs) + (self.n_q - n_nodes)
 
     def mbr_value(self, qe, mbr):
-        return mbr_similarity(self.q_assoc[qe], self.order_weights, mbr)
-
-    def seed_bound(self, value, n_settled):
-        return math.inf
+        return 1.0
 
 
 class _TopK:
@@ -449,16 +447,16 @@ class _TopK:
     floor = least
 
     def offer(self, score, sig, nmap, disc):
-        entry = (score, -disc, disc, sig, nmap)
+        entry = (score, -disc, sig, nmap)
         if len(self.heap) < self.k:
             heappush(self.heap, entry)
         elif score > self.heap[0][0]:
             heapreplace(self.heap, entry)
 
     def ranked(self):
-        order = sorted(self.heap, key=lambda t: (-t[0], t[2]))
+        order = sorted(self.heap, key=lambda t: (-t[0], -t[1]))
         return [ScoredMatch(Mapping(nmap, sig), score)
-                for score, _, disc, sig, nmap in order]
+                for score, _, sig, nmap in order]
 
 
 class _Threshold:
@@ -511,10 +509,9 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
             exact_match=(), exact_relation=()):
     """Shared three-phase engine; exactly one of k / r is set.
 
-    The scorer supplies seven members:
+    The scorer supplies six members:
       q_assoc                    association vectors of q's edges, by edge id
-      order_weights              feature weights that order query edges,
-                                 tree nodes and leaf entries
+      order_weights              feature weights that order leaf entries
       state_score(nmap, sig)     score of a mapping, summed along sig
       state_bound(score, n_settled, n_nodes)
                                  best final score reachable from a state
@@ -523,23 +520,26 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
       pair_gain(qe, te, new)     upper bound on what pair (qe, te) and its new
                                  node assignments add to a state's score
       mbr_value(qe, mbr)         bound on qe's pair value under a tree box
-      seed_bound(value, n_settled)
-                                 best final score from a seed of that value,
-                                 n_settled counted as in state_bound
     The pair-table scorer builds its pair values against every target edge
     once, when it is made (pair_similarity_table), so pair_gain and
     state_score only read them by index.
+    A seed or box value v, pair_gain(qe, te, ()) or mbr_value(qe, mbr), with
+    n query edges settled is bounded by state_bound(v, n, 0): the value
+    covers the pair, and n_nodes = 0 leaves room for every node term. Both
+    scorers prune on it in every phase, on query edges, tree nodes and leaf
+    entries alike.
     Each leaf the tree descent reaches puts every seed it holds for the
     current query edge into one growth queue and grows that queue until its
     best bound cannot beat the answer threshold. A leaf entry te is first
-    dropped, as one seed prune, when seed_bound(pair_gain(qe, te, ())) is at
-    most the threshold: that bound is at least the state bound of each of
-    its seed orientations, so none of them could have entered the queue. The
-    entries that remain are ordered by neighborhood similarity to qe, best
-    first, ties by edge id, then oriented and scored; an entry's
-    orientations are pushed best-scoring first, ties in _seed_orientations
-    order, and each is cut on its own state bound. The queue pops by bound,
-    so this order only ranks seeds of equal bound.
+    dropped, as one seed prune, when its pair bound, state_bound of
+    pair_gain(qe, te, ()), is at most the threshold: that bound is at least
+    the state bound of each of its seed orientations, so none of them could
+    have entered the queue. The entries that remain are ordered by
+    neighborhood similarity to qe, best first, ties by edge id, then
+    oriented and scored; an entry's orientations are pushed best-scoring
+    first, ties in _seed_orientations order, and each is cut on its own
+    state bound. The queue pops by bound, so this order only ranks seeds of
+    equal bound.
     Growth prunes a child in two stages. The first bounds it from its parent
     alone, state_bound(parent score + pair_gain, ...) + _growth_slack(m_q),
     and drops it before its signature is built, remembered or scored; the
@@ -599,7 +599,6 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     state_score = scorer.state_score
     state_bound = scorer.state_bound
     pair_gain = scorer.pair_gain
-    seed_bound = scorer.seed_bound
 
     # query edges whose phase has ended
     handled = set()
@@ -691,7 +690,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         for te in node.entries:
             if keep is not None and not keep[te]:
                 continue
-            bound = seed_bound(pair_gain(qe, te, ()), settled)
+            bound = state_bound(pair_gain(qe, te, ()), settled, 0)
             if bound <= floor:
                 if audit is not None:
                     prune("seed", bound)
@@ -726,7 +725,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     root_values = [scorer.mbr_value(e, root.mbr) for e in range(m_q)]
     for qe in sorted(range(m_q), key=lambda e: (-root_values[e], e)):
         settled = 1 + len(handled)
-        bound = seed_bound(root_values[qe], settled)
+        bound = state_bound(root_values[qe], settled, 0)
         if bound <= ans.floor():
             if audit is not None:
                 prune("query-edge", bound)
@@ -737,7 +736,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         cands = [(-root_values[qe], root_w, next(tick), root)]
         while cands:
             negval, _, _, node = heappop(cands)
-            bound = seed_bound(-negval, settled)
+            bound = state_bound(-negval, settled, 0)
             if bound <= ans.floor():
                 if audit is not None:
                     prune("tree-node", bound)

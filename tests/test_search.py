@@ -1,8 +1,10 @@
 """Search engines: growth semantics, oracle, indexed top-k/range equivalence."""
 
+import ast
 import dataclasses
+import inspect
 import time
-from itertools import product
+from itertools import product, takewhile
 from types import SimpleNamespace
 
 import numpy as np
@@ -721,26 +723,50 @@ class TestSeedPairBound:
            kind=st.sampled_from(["contextual", "traditional", "min", "mean"]),
            query_edges=st.integers(2, 4))
     def test_pair_bound_covers_every_orientation(self, seed, kind, query_edges):
-        # a leaf entry is dropped on seed_bound(pair_gain) before any of its
-        # orientations is scored, so that bound must be at least the bound
-        # of every orientation, at every count of settled edges (the seed
-        # plus the query edges handled before it); a contextual seed reaches
-        # it exactly
+        # a leaf entry is dropped on its pair bound, state_bound(pair_gain,
+        # settled, 0), before any of its orientations is scored, so that
+        # bound must be at least the bound of every orientation, at every
+        # count of settled edges (the seed plus the query edges handled
+        # before it); a contextual seed reaches it exactly. The tree descent
+        # prunes on the same bound of each box value, so every node on the
+        # path from the root to te's leaf must bound each orientation too,
+        # and the pair bound as well, except under min: there pair_gain is
+        # the largest exemplar's value, which bounds growth, while a seed
+        # and a box take the least
         rng = np.random.default_rng(seed)
         g, q = make_instance(rng, max_nodes=12, query_edges=query_edges)
-        scorer = make_scorer(kind, q, index_with_tree(g, leaf_threshold=3))
+        idx = index_with_tree(g, leaf_threshold=3)
+        scorer = make_scorer(kind, q, idx)
+        paths = {}
+
+        def walk(node, path):
+            path = path + (node,)
+            if node.is_leaf:
+                paths.update((te, path) for te in node.entries)
+            else:
+                for child in node.children:
+                    walk(child, path)
+
+        walk(idx.root, ())
         for qe, te in product(range(q.n_edges), range(g.n_edges)):
             for settled in range(1, q.n_edges + 1):
-                pair_bound = scorer.seed_bound(scorer.pair_gain(qe, te, ()),
-                                               settled)
-                for ori in _seed_orientations(q, g, qe, te):
-                    sig = ((qe, te),)
-                    seed_bound = scorer.state_bound(
-                        scorer.state_score(dict(ori), sig), settled, 2)
-                    if kind == "contextual":
-                        assert seed_bound == pair_bound
-                    else:
-                        assert seed_bound <= pair_bound
+                pair_bound = scorer.state_bound(scorer.pair_gain(qe, te, ()),
+                                                settled, 0)
+                seed_bounds = [
+                    scorer.state_bound(scorer.state_score(dict(ori),
+                                                          ((qe, te),)),
+                                       settled, 2)
+                    for ori in _seed_orientations(q, g, qe, te)]
+                if kind == "contextual":
+                    assert all(b == pair_bound for b in seed_bounds)
+                else:
+                    assert all(b <= pair_bound for b in seed_bounds)
+                for node in paths[te]:
+                    box_bound = scorer.state_bound(
+                        scorer.mbr_value(qe, node.mbr), settled, 0)
+                    assert all(b <= box_bound for b in seed_bounds)
+                    if kind != "min":
+                        assert pair_bound <= box_bound
 
     def test_dropped_entries_are_not_ordered(self, monkeypatch):
         # under a range threshold the floor never moves, so every entry
@@ -784,3 +810,59 @@ class TestSeedPairBound:
         for qe, te in seen:
             cs = edge_similarity(q_assoc[qe], idx.assoc[te], w)
             assert cs + (q.n_edges - 1) >= r
+
+
+class TestTraditionalPruning:
+    @pytest.mark.parametrize("size", [3, 4])
+    def test_index_prunes_and_answers_hold(self, size):
+        # a traditional pair's box value is 1.0, so the traditional scorer
+        # prunes query edges, tree nodes and leaf entries on the same
+        # bound as the contextual one, and its answers still equal the
+        # oracle's; no prune may cut at a bound above the threshold
+        g = spatial_graph(80, 200, seed=3, replicas=4)
+        idx = build_index(g)
+        q = grow_query(g, size, np.random.default_rng(size))
+        params = SearchParams(k=5, scorer="traditional")
+        audit = SearchAudit()
+        got = topk_search(q, idx, params, audit=audit)
+        ref = naive_topk(q, g, 5, scorer="traditional")
+        assert [m.score for m in got] == [m.score for m in ref]
+        r = q.n_edges + q.n_nodes - 0.5
+        range_audit = SearchAudit()
+        got_r = range_search(q, idx, r, params, audit=range_audit)
+        ref_r = naive_range(q, g, r, scorer="traditional")
+        assert ref_r
+        assert (sorted((m.score, m.mapping.signature()) for m in got_r) ==
+                sorted((m.score, m.mapping.signature()) for m in ref_r))
+        for run in (audit, range_audit):
+            kinds = {kind for kind, _, _ in run.prunes}
+            # seed-orientation prunes alone do not show index pruning: the
+            # bound on a box or a whole query edge must cut too
+            assert kinds & {"query-edge", "tree-node"}
+            assert "seed" in kinds
+            assert all(bound <= least for _, bound, least in run.prunes)
+
+
+class TestScorerProtocol:
+    def test_docstring_names_every_member_search_reads(self):
+        # the members the _search docstring lists are exactly the scorer
+        # attributes _search reads, and both scorers have each of them, so
+        # a member only one scorer needs shows up here
+        (fn,) = [node for node in ast.parse(inspect.getsource(cg_search)).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_search"]
+        read = {node.attr for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "scorer"}
+        doc = ast.get_docstring(fn).splitlines()
+        start = next(i for i, line in enumerate(doc)
+                     if line.startswith("The scorer supplies"))
+        block = takewhile(lambda line: line.startswith(" "), doc[start + 1:])
+        listed = {line.split()[0].split("(")[0] for line in block
+                  if not line.startswith("   ")}
+        assert read == listed
+        g, q = make_instance(np.random.default_rng(3))
+        idx = build_index(g)
+        for scorer in (make_scorer("contextual", q, idx),
+                       make_scorer("traditional", q, idx)):
+            for name in listed:
+                assert hasattr(scorer, name), (type(scorer).__name__, name)
