@@ -15,11 +15,13 @@ neighborhood similarity, as seeds into one bound-ordered growth queue
 (phase 3). A leaf entry whose pair value alone cannot beat the answer
 threshold is dropped before it is ordered. Growth prunes a child in two
 stages: first on a bound estimated from its parent's score and the pair it
-adds, and a child that survives is queued unbuilt under that estimate; it
-is built, remembered and scored only when the queue pops it, and then cut
-on the bound of its canonical score. Every discarded state is covered by
-an upper bound that cannot beat the current answer threshold, so the
-returned score multiset equals the naive one.
+adds, read from per-search candidate lists sorted by that pair value so a
+scan stops at its first cut child; the children that survive are queued
+unbuilt as one entry per expansion, which each pop moves on to the next
+child, and a child is built, remembered and scored only when it is popped,
+and then cut on the bound of its canonical score. Every discarded state is
+covered by an upper bound that cannot beat the current answer threshold, so
+the returned score multiset equals the naive one.
 
 Each query edge is handled once, and later phases leave handled edges out:
 every mapping holding a pair of a handled edge was grown from that pair or
@@ -90,8 +92,10 @@ class SearchAudit:
     prune could have removed a result that belongs in the answer set. A
     "seed" prune counts once per leaf entry dropped on its pair bound, and
     once per seed orientation dropped after it was scored. A "growth" prune
-    counts once per child dropped on its estimate before it is queued, and
-    once per child cut on its canonical bound when it is popped.
+    counts once per stop of a candidate scan (the estimate it stops at
+    bounds every later candidate of that list) or closing pair dropped on
+    its estimate before it is queued, and once per child cut on its
+    canonical bound when it is popped.
     """
 
     def __init__(self):
@@ -176,7 +180,9 @@ def _extensions(q, g, nmap, pairs, handled=(), admit=None):
     direction-consistent, and respect injectivity. handled holds the query
     edges an indexed search has finished, whose pairs later growth never
     adds (see _search); the default excludes none. With an Admissible
-    admit, only the extensions it admits are returned.
+    admit, only the extensions it admits are returned. The oracle grows by
+    it, and the indexed search asks it whether a handled edge extends a
+    state; indexed growth reads the same extensions from _child_scan.
     """
     out = []
     used_te = {te for _, te in pairs}
@@ -505,6 +511,117 @@ def _growth_slack(m_q):
     return (m_q + 1) ** 2 * 2.0 ** -44
 
 
+def _child_scan(q, g, scorer, admit):
+    """The children of one growth expansion that pass the estimate filter.
+
+    Returns scan(score, nmap, sig, handled, floor, on_stop) -> (has_ext,
+    kids) for the state with node map nmap, sorted signature sig and score
+    score. has_ext tells whether _extensions(q, g, nmap, sig, handled, admit)
+    is non-empty. kids holds each of those extensions (qe, te, new) whose
+    estimate est = state_bound(score + pair_gain(qe, te, new), len(sig) + 1
+    + len(handled), len(nmap) + len(new)) + _growth_slack(m_q) is above
+    floor, as (-est, qe, te, free_q, cand), sorted: new is ((free_q, cand),),
+    or () when free_q is None.
+
+    An extension whose query edge qe has one endpoint, anchor_q, mapped to
+    anchor_t comes from the candidate list of (qe, anchor_q, anchor_t),
+    built once per _child_scan call, when a scan first needs it: anchor_t's
+    incident target edges that keep the direction and the filters, as flat
+    lists of gains, target edges and free target nodes, sorted by gain
+    descending, ties by edge id. A scan of the list skips used edges and
+    mapped nodes and stops at the first extension whose estimate is at most
+    floor, and calls on_stop, unless it is None, with that estimate: rounded
+    addition never decreases, so it bounds every later extension of the
+    list too.
+    """
+    directed = g.directed
+    edges = g.edges
+    incident = g.incident
+    q_edges = q.edges
+    m_q = q.n_edges
+    slack = _growth_slack(m_q)
+    pair_gain = scorer.pair_gain
+    state_bound = scorer.state_bound
+    # lists[2 * qe + side] maps anchor_t to its candidate list; side 0
+    # anchors qe's first endpoint, side 1 its second
+    lists = [{} for _ in range(2 * m_q)]
+
+    def candidates(qe, side, anchor_t):
+        u, v = q_edges[qe]
+        free_q = v if side == 0 else u
+        rows = []
+        for te in incident[anchor_t]:
+            a, b = edges[te]
+            if directed:
+                if (a if side == 0 else b) != anchor_t:
+                    continue
+                cand = b if side == 0 else a
+            else:
+                cand = b if a == anchor_t else a
+            if admit is not None and not (admit.pair_ok[qe][te] and
+                                          admit.node_ok[free_q][cand]):
+                continue
+            # negation is exact, so the gain comes back bit for bit
+            rows.append((-pair_gain(qe, te, ((free_q, cand),)), te, cand))
+        rows.sort()
+        found = ([-row[0] for row in rows], [row[1] for row in rows],
+                 [row[2] for row in rows])
+        lists[2 * qe + side][anchor_t] = found
+        return found
+
+    def scan(score, nmap, sig, handled, floor, on_stop):
+        used_te = {te for _, te in sig}
+        used_qe = {qe for qe, _ in sig}
+        used_qe.update(handled)
+        mapped = set(nmap.values())
+        settled = len(sig) + 1 + len(handled)
+        n_nodes = len(nmap)
+        has_ext = False
+        kids = []
+        for qe in range(m_q):
+            if qe in used_qe:
+                continue
+            u, v = q_edges[qe]
+            mu = nmap.get(u)
+            mv = nmap.get(v)
+            if mu is None:
+                if mv is None:
+                    continue
+                side, anchor_t, free_q = 1, mv, u
+            elif mv is None:
+                side, anchor_t, free_q = 0, mu, v
+            else:
+                te = g.edge_between(mu, mv)
+                if te is None or te in used_te or (
+                        admit is not None and not admit.pair_ok[qe][te]):
+                    continue
+                has_ext = True
+                est = state_bound(score + pair_gain(qe, te, ()), settled,
+                                  n_nodes) + slack
+                if est > floor:
+                    kids.append((-est, qe, te, None, None))
+                elif on_stop is not None:
+                    on_stop(est)
+                continue
+            found = lists[2 * qe + side].get(anchor_t)
+            if found is None:
+                found = candidates(qe, side, anchor_t)
+            for gain, te, cand in zip(*found):
+                if te in used_te or cand in mapped:
+                    continue
+                has_ext = True
+                est = state_bound(score + gain, settled, n_nodes + 1) + slack
+                if est <= floor:
+                    if on_stop is not None:
+                        on_stop(est)
+                    break
+                kids.append((-est, qe, te, free_q, cand))
+        kids.sort()
+        return has_ext, kids
+
+    return scan
+
+
 def _search(q, index, scorer, k=None, r=None, audit=None,
             exact_match=(), exact_relation=()):
     """Shared three-phase engine; exactly one of k / r is set.
@@ -544,26 +661,36 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     alone, state_bound(parent score + pair_gain, ...) + _growth_slack(m_q),
     and drops it before its signature is built, remembered or scored; the
     slack makes this estimate at least the child's canonical bound despite
-    rounding, so it only drops children the second stage would drop. A child
-    that survives is queued unbuilt, keyed by that estimate, as its parent's
-    state and the extension that makes it. Only when the queue pops it is
-    its signature built, checked against the visited set, its node map
-    copied and its score computed canonically by state_score; it is cut on
-    that bound or expanded at once. Most children are never popped, since a
-    queue stops at its first key that cannot beat the threshold, and the key
-    is at least the child's canonical bound, so the stop stays sound. A
-    child dropped early, or queued again by another parent before its first
-    pop, is not remembered, so it may be reached and dropped again; only its
-    first pop expands it.
+    rounding, so it only drops children the second stage would drop. The
+    children and their estimates come from _child_scan, which reads them
+    from candidate lists sorted by pair_gain and stops a list at its first
+    dropped child; every later child of the list has an estimate no larger.
+    An expansion queues the children that survive as one unbuilt entry: its
+    state and those children sorted by (-estimate, qe, te), keyed by the
+    first child's estimate, the depth and one tick drawn for the expansion.
+    Popping the entry queues it again, keyed by the next child's estimate,
+    before that child is built. A child's key is thus the one it would have
+    had queued on its own, and since the ticks drawn for one expansion's
+    children would have been consecutive, in (qe, te) order, and no other
+    entry's tick falls between them, the queue pops the same children in
+    the same order as when every child was queued on its own. Only when a
+    child is popped is its signature built, checked against the visited
+    set, its node map copied and its score computed canonically by
+    state_score; it is cut on that bound or expanded at once. Most children
+    are never popped, since a queue stops at its first key that cannot beat
+    the threshold, and the key is at least the child's canonical bound, so
+    the stop stays sound. A child dropped early, or queued again by another
+    parent before its first pop, is not remembered, so it may be reached and
+    dropped again; only its first pop expands it.
     Phase 1 adds a query edge to handled once its tree descent has run out
     or been cut. Every mapping holding a pair of a handled edge qe0 is then
     covered: it was grown from its qe0 seed, or it was cut on a bound that
     the answer threshold, which never falls, keeps valid. A mapping holds at
     most one pair per query edge, and a connected mapping grows from any of
-    its pairs, so later phases need none of them. There _extensions skips
+    its pairs, so later phases need none of them. There _child_scan skips
     handled edges, and a state it leaves without extensions is offered only
-    when it has none at all: if a handled edge extends it, it is not
-    maximal. Each bound counts handled edges as settled, since none of them
+    when _extensions finds none at all: if a handled edge extends it, it is
+    not maximal. Each bound counts handled edges as settled, since none of them
     can join: the state bound and the growth estimate take n_pairs +
     len(handled), and the leaf pair bound, the seed-orientation bound, the
     tree-node bound and the phase-1 query-edge bound take 1 + len(handled).
@@ -571,7 +698,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     exactly, on every pair and every mapped node (see admissible): a leaf
     entry te is dropped before its pair bound when (qe, te) fails the
     relation filter, a seed orientation when a node fails the match filter,
-    and _extensions offers growth only admissible pairs. An admissible
+    and _child_scan offers growth only admissible pairs. An admissible
     mapping grows from any of its pairs through admissible pairs alone, so
     the argument above holds for filtered search too, and a state is offered
     when no admissible pair extends it.
@@ -599,6 +726,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     state_score = scorer.state_score
     state_bound = scorer.state_bound
     pair_gain = scorer.pair_gain
+    scan = _child_scan(q, g, scorer, admit)
+    on_stop = None if audit is None else (lambda est: prune("growth", est))
 
     # query edges whose phase has ended
     handled = set()
@@ -615,7 +744,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         # edge is handled once, so no other queue of the search meets any
         # of these states, and visited and found live as long as this
         # queue. Children are built at their pop, so the visited check sits
-        # there: one child may be queued once per parent that reaches it,
+        # there: one child may be queued under every parent that reaches it,
         # and only its first pop expands it. The threshold only moves when
         # an answer is offered
         visited = set()
@@ -623,22 +752,27 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         floor = ans.floor()
         n_handled = len(handled)
         while pq:
-            negb, _, _, score, nmap, sig, ext = heappop(pq)
+            negb, depth, t, score, nmap, sig, kids, i = heappop(pq)
             if -negb <= floor:
                 if audit is not None:
                     prune("growth-queue", -negb)
                 break
-            if ext is not None:
-                qe2, te2, new = ext
+            if kids is not None:
+                # the cursor moves on to the next sibling before this child
+                # is built, under the tick its expansion reserved
+                _, qe2, te2, free_q, cand = kids[i]
+                if i + 1 < len(kids):
+                    heappush(pq, (kids[i + 1][0], depth, t, score, nmap, sig,
+                                  kids, i + 1))
                 pair = (qe2, te2)
                 pos = bisect_left(sig, pair)
                 sig = sig[:pos] + (pair,) + sig[pos:]
                 if sig in visited:
                     continue
                 visited.add(sig)
-                if new:
+                if free_q is not None:
                     nmap = dict(nmap)
-                    nmap.update(new)
+                    nmap[free_q] = cand
                 score = state_score(nmap, sig)
                 bound = state_bound(score, len(sig) + n_handled, len(nmap))
                 if bound <= floor:
@@ -647,8 +781,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                     continue
             if audit is not None:
                 audit.expanded += 1
-            exts = _extensions(q, g, nmap, sig, handled, admit)
-            if not exts:
+            has_ext, kids = scan(score, nmap, sig, handled, floor, on_stop)
+            if not has_ext:
                 # a state that only a handled edge extends is not maximal;
                 # its maximal mappings were covered in that edge's phase
                 if n_handled and _extensions(q, g, nmap, sig, admit=admit):
@@ -661,20 +795,13 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                         audit.offers += 1
                         audit.least_trace.append(ans.least())
                 continue
-            n2 = len(sig) + 1
-            settled2 = n2 + n_handled
-            n_nodes = len(nmap)
-            for ext in exts:
-                qe2, te2, new = ext
-                est = state_bound(score + pair_gain(qe2, te2, new), settled2,
-                                  n_nodes + len(new)) + slack
-                if est <= floor:
-                    if audit is not None:
-                        prune("growth", est)
-                    continue
-                # equal keys pop deepest-first: finishing a mapping early
-                # raises the answer threshold and shrinks the frontier
-                heappush(pq, (-est, m_q - n2, next(tick), score, nmap, sig, ext))
+            if kids:
+                # one entry per expansion, keyed by its best child's
+                # estimate; equal keys pop deepest-first: finishing a
+                # mapping early raises the answer threshold and shrinks the
+                # frontier
+                heappush(pq, (kids[0][0], m_q - len(sig) - 1, next(tick),
+                              score, nmap, sig, kids, 0))
 
     def handle_leaf(qe, node):
         # an entry whose pair value alone cannot beat the answer threshold
@@ -718,7 +845,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                         prune("seed", bound)
                     continue
                 heappush(pq, (-bound, m_q - 1, next(tick), score, nmap, sig,
-                              None))
+                              None, 0))
         grow(pq)
 
     root = index.root

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import math
 import time
 from itertools import product, takewhile
 from types import SimpleNamespace
@@ -22,8 +23,8 @@ from contextgraph.index import build_index, load_index, save_index
 from contextgraph.search import (SCORERS, SearchAudit, SearchParams,
                                  SearchTimeout, _PairTableScorer,
                                  _TraditionalScorer, _build_scorer,
-                                 _extensions, _growth_slack,
-                                 _seed_orientations, enumerate_mcs,
+                                 _child_scan, _extensions, _growth_slack,
+                                 _seed_orientations, admissible, enumerate_mcs,
                                  naive_range, naive_topk, range_search,
                                  topk_search)
 from contextgraph.similarity import association_vectors, edge_similarity
@@ -648,6 +649,83 @@ class TestGrowthPrefilter:
         assert len(calls) < growth
 
 
+class TestChildScan:
+    @staticmethod
+    def reference(q, g, scorer, admit, score, nmap, sig, handled, floor):
+        # _extensions, then the estimate of each child and the filter on it
+        slack = _growth_slack(q.n_edges)
+        exts = _extensions(q, g, nmap, sig, handled, admit)
+        kids = []
+        for qe, te, new in exts:
+            est = scorer.state_bound(score + scorer.pair_gain(qe, te, new),
+                                     len(sig) + 1 + len(handled),
+                                     len(nmap) + len(new)) + slack
+            if est > floor:
+                kids.append((-est, qe, te, new))
+        return bool(exts), sorted(kids)
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["contextual", "traditional", "min", "mean"]),
+           directed=st.booleans(), filtered=st.booleans(),
+           query_edges=st.integers(2, 5))
+    def test_scan_equals_extensions_and_estimate(self, seed, kind, directed,
+                                                 filtered, query_edges):
+        # one scan serves every state of the instance, so later states read
+        # candidate lists built for earlier ones; floors run from -inf to
+        # above the best estimate, through each estimate itself
+        rng = np.random.default_rng(seed)
+        g, q = make_instance(rng, max_nodes=14, directed=directed,
+                             query_edges=query_edges)
+        idx = index_with_tree(g, leaf_threshold=3)
+        scorer = make_scorer(kind, q, idx)
+        admit = None
+        if filtered:
+            features = range(len(q.schema))
+            admit = admissible(
+                q, g, scorer.q_assoc, idx.assoc,
+                [f for f in features if rng.random() < 0.4],
+                [f for f in features if rng.random() < 0.4])
+        scan = _child_scan(q, g, scorer, admit)
+        stack = [(dict(ori), ((qe, te),)) for qe in range(q.n_edges)
+                 for te in range(g.n_edges)
+                 for ori in _seed_orientations(q, g, qe, te, admit)]
+        seen = set()
+        states = 0
+        while stack and states < 150:
+            nmap, sig = stack.pop()
+            states += 1
+            score = scorer.state_score(nmap, sig)
+            used = {qe for qe, _ in sig}
+            handled = {e for e in range(q.n_edges)
+                       if e not in used and rng.random() < 0.3}
+            _, everything = self.reference(q, g, scorer, admit, score, nmap,
+                                           sig, handled, -math.inf)
+            ests = sorted({-negest for negest, *_ in everything})
+            floors = [-math.inf, *ests, *(a + (b - a) / 2 for a, b
+                                          in zip(ests, ests[1:])),
+                      (ests[-1] if ests else 0.0) + 1.0]
+            for floor in floors:
+                has_ext, want = self.reference(q, g, scorer, admit, score,
+                                               nmap, sig, handled, floor)
+                stops = []
+                got_ext, kids = scan(score, nmap, sig, handled, floor,
+                                     stops.append)
+                got = [(negest, qe, te,
+                        () if free_q is None else ((free_q, cand),))
+                       for negest, qe, te, free_q, cand in kids]
+                assert got_ext == has_ext
+                assert got == want
+                assert all(est <= floor for est in stops)
+                assert len(stops) <= len(everything) - len(want)
+                assert bool(stops) or len(want) == len(everything)
+            for qe, te, new in _extensions(q, g, nmap, sig, admit=admit):
+                sig2 = tuple(sorted(sig + ((qe, te),)))
+                if sig2 not in seen:
+                    seen.add(sig2)
+                    stack.append(({**nmap, **dict(new)}, sig2))
+
+
 class TestChildrenBuiltAtPop:
     @staticmethod
     def replicated_instance():
@@ -682,18 +760,21 @@ class TestChildrenBuiltAtPop:
 
     @staticmethod
     def expansions(monkeypatch, search):
-        # (signature, node map) of every state grow expands: the one
-        # _extensions call per expansion that passes the handled edges
+        # (signature, node map) of every state grow expands: the one call
+        # per expansion of the scan that _child_scan makes for the search
         seen = []
 
-        def recorded(q, g, nmap, pairs, *args, _fn=cg_search._extensions,
-                     **kwargs):
-            if args or "handled" in kwargs:
-                seen.append((tuple(pairs), tuple(sorted(nmap.items()))))
-            return _fn(q, g, nmap, pairs, *args, **kwargs)
+        def recorded(*args, _fn=cg_search._child_scan):
+            scan = _fn(*args)
+
+            def recorded_scan(score, nmap, sig, *rest):
+                seen.append((tuple(sig), tuple(sorted(nmap.items()))))
+                return scan(score, nmap, sig, *rest)
+
+            return recorded_scan
 
         with monkeypatch.context() as mp:
-            mp.setattr(cg_search, "_extensions", recorded)
+            mp.setattr(cg_search, "_child_scan", recorded)
             search()
         return seen
 
@@ -715,6 +796,58 @@ class TestChildrenBuiltAtPop:
                 seen = self.expansions(
                     monkeypatch, lambda: topk_search(q, idx, params))
                 assert len(set(seen)) == len(seen)
+
+    def test_one_push_per_expansion_and_pop(self, monkeypatch):
+        # an expansion queues one entry for all its children, and popping
+        # it queues at most one more, for the next sibling; pushing every
+        # child that passes its estimate made 9,832 growth pushes here,
+        # against 468 expansions and 681 pops (729 pushes now)
+        g, q = self.replicated_instance()
+        pushes = []
+        pops = []
+
+        def counted_push(heap, item, _fn=cg_search.heappush):
+            # growth queue entries are the 8-tuples; a seed's holds no
+            # children at index 6
+            if len(item) == 8 and item[6] is not None:
+                pushes.append(1)
+            return _fn(heap, item)
+
+        def counted_pop(heap, _fn=cg_search.heappop):
+            item = _fn(heap)
+            if len(item) == 8:
+                pops.append(1)
+            return item
+
+        monkeypatch.setattr(cg_search, "heappush", counted_push)
+        monkeypatch.setattr(cg_search, "heappop", counted_pop)
+        audit = SearchAudit()
+        topk_search(q, build_index(g), SearchParams(k=5), audit=audit)
+        assert pushes
+        assert len(pushes) <= audit.expanded + len(pops)
+
+    def test_repush_keeps_the_expansion_tick(self, monkeypatch):
+        # the children of one expansion once took consecutive ticks, so
+        # the entry that holds them must keep the tick drawn at the
+        # expansion on every re-push; a fresh tick reorders equal keys
+        g, q = self.replicated_instance()
+        drawn = {}
+        repushes = []
+
+        def recorded_push(heap, item, _fn=cg_search.heappush):
+            if len(item) == 8 and item[6] is not None:
+                _, _, t, _, _, _, kids, i = item
+                if i == 0:
+                    # the entry keeps kids alive, so its id stays unique
+                    drawn[id(kids)] = t
+                else:
+                    repushes.append((drawn[id(kids)], t))
+            return _fn(heap, item)
+
+        monkeypatch.setattr(cg_search, "heappush", recorded_push)
+        topk_search(q, build_index(g), SearchParams(k=5))
+        assert repushes
+        assert all(t == want for want, t in repushes)
 
 
 class TestSeedPairBound:
