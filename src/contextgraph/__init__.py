@@ -4,9 +4,10 @@ The public surface groups into five layers: the graph model (schema,
 loading, validation), context learning (binning, null model, chi-square
 feature weights), similarity (association vectors, weighted edge and
 subgraph scores, bounds), the edge index (variance-split tree over
-association vectors plus neighborhood summaries, with persistence), and
-the search engines (exhaustive oracle and the index-accelerated top-k /
-range engine, plus multi-exemplar intent search).
+association vectors, with persistence; it also keeps neighborhood
+summaries, which no search reads), and the search engines (exhaustive
+oracle and the index-accelerated top-k / range engine, plus multi-exemplar
+intent search).
 """
 
 from .context import (Binner, NullModel, chi_square, edge_feature_counts,

@@ -239,8 +239,7 @@ def intent_topk(es, index, params=SearchParams(), weight_mode=WEIGHT_MODES[0],
     per = hc.per_weights
     if weight_mode == "averaged":
         per = [averaged_weights(per)] * len(es)
-    order_w = hc.weights if sum(hc.weights) > 0.0 else averaged_weights(per)
-    scorer = _PairTableScorer(hc.aligned, index, per, order_w, agg_mode == "min")
+    scorer = _PairTableScorer(hc.aligned, index, per, agg_mode == "min")
     em, er = (hc.exact_match, hc.exact_relation) if use_filters else ((), ())
     return _search(es.graphs[0], index, scorer, k=params.k, audit=audit,
                    exact_match=em, exact_relation=er)

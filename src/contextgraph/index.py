@@ -7,9 +7,9 @@ can be bounded without visiting it. The association vectors themselves are
 kept as one (m, d) float64 array, row e being edge e's vector, which the
 searches compare against the query's edges in one pass per query. The index
 also keeps per-edge neighborhood summaries, histograms of the association
-values on the adjacent edges in BUCKETS buckets, used to order the seed
-candidates of a leaf; they are one int32 array of shape (m, d, BUCKETS), row
-e being edge e's summary.
+values on the adjacent edges in BUCKETS buckets, as one int32 array of shape
+(m, d, BUCKETS), row e being edge e's summary; no search reads them, since
+a leaf's seed candidates are taken in edge-id order.
 
 The tree's shape is fixed: BRANCHING children per inner node, and a node
 holding fewer than LEAF_THRESHOLD edges becomes a leaf.
@@ -210,7 +210,8 @@ def neighborhood_similarity(summary_q, summary_t, weights):
 
     Per feature: among buckets where the query count is positive, the share
     whose target count is at least the query count; 1 when the query has no
-    occupied bucket. Used to order seed candidates, not as a bound.
+    occupied bucket. No search calls it: a leaf's seed candidates are taken
+    in edge-id order, not by neighborhood similarity.
     """
     total = 0.0
     for i, w in enumerate(weights):

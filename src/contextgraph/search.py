@@ -10,18 +10,18 @@ edge) seed and enumerate the universe exhaustively; they are the reference.
 topk_search / range_search answer exactly the same question through the edge
 index: query edges are taken in order of their similarity bound against the
 tree root (phase 1), the tree is descended best-first with bound-checked
-pruning (phase 2), and each leaf reached puts its entries, ordered by
-neighborhood similarity, as seeds into one bound-ordered growth queue
-(phase 3). A leaf entry whose pair value alone cannot beat the answer
-threshold is dropped before it is ordered. Growth prunes a child in two
-stages: first on a bound estimated from its parent's score and the pair it
-adds, read from per-search candidate lists sorted by that pair value so a
-scan stops at its first cut child; the children that survive are queued
-unbuilt as one entry per expansion, which each pop moves on to the next
-child, and a child is built, remembered and scored only when it is popped,
-and then cut on the bound of its canonical score. Every discarded state is
-covered by an upper bound that cannot beat the current answer threshold, so
-the returned score multiset equals the naive one.
+pruning (phase 2), and each leaf reached puts its entries, in edge-id
+order, as seeds into one bound-ordered growth queue (phase 3). A leaf entry
+whose seed score alone cannot beat the answer threshold is dropped before
+it is oriented. Growth prunes a child in two stages: first on a bound
+estimated from its parent's score and the pair it adds, read from
+per-search candidate lists sorted by that pair value so a scan stops at its
+first cut child; the children that survive are queued unbuilt as one entry
+per expansion, which each pop moves on to the next child, and a child is
+built, remembered and scored only when it is popped, and then cut on the
+bound of its canonical score. Every discarded state is covered by an upper
+bound that cannot beat the current answer threshold, so the returned score
+multiset equals the naive one.
 
 Each query edge is handled once, and later phases leave handled edges out:
 every mapping holding a pair of a handled edge was grown from that pair or
@@ -48,14 +48,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .context import estimate_null_model, weight_vector
-from .index import mbr_similarity, neighborhood_similarity, neighborhood_summary
+from .index import mbr_similarity
 from .similarity import (Mapping, ScoredMatch, association_vectors,
                          contextual_graph_similarity,
                          pair_similarity_table, traditional_graph_similarity,
                          traditional_node_similarity)
-# not called here since pair values come from pair_similarity_table, but the
-# benchmark's traced run (perfbench/spans.py) wraps and counts this name on
-# this module, and fails if it is missing
+# not called here since pair values come from pair_similarity_table and
+# leaf entries are seeded in edge-id order, but the benchmark's traced run
+# (perfbench/spans.py) wraps and counts these names on this module, and
+# fails if one is missing
+from .index import neighborhood_similarity, neighborhood_summary  # noqa: F401
 from .similarity import edge_similarity  # noqa: F401
 
 
@@ -90,7 +92,7 @@ class SearchAudit:
     Every pruned state is recorded with its bound and the answer threshold at
     the time of the prune; bound <= threshold for each entry certifies that no
     prune could have removed a result that belongs in the answer set. A
-    "seed" prune counts once per leaf entry dropped on its pair bound, and
+    "seed" prune counts once per leaf entry dropped on its seed bound, and
     once per seed orientation dropped after it was scored. A "growth" prune
     counts once per stop of a candidate scan (the estimate it stops at
     bounds every later candidate of that list) or closing pair dropped on
@@ -169,25 +171,22 @@ def _seed_orientations(q, g, qe, te, admit=None):
     return tuple(ori for ori in oris if all(node_ok[qn][tn] for qn, tn in ori))
 
 
-def _extensions(q, g, nmap, pairs, handled=(), admit=None):
+def _extensions(q, g, nmap, pairs, admit=None):
     """All single-pair extensions of a connected mapping.
 
     Returns (query edge, target edge, new node assignments) triples in
     ascending (query edge, target edge) order, with no pair twice: query edges
     are visited in order and Graph.incident lists ascend. A query edge
-    qualifies when it is neither in the mapping nor in handled and at least
-    one endpoint is mapped; the target edge must be unused,
-    direction-consistent, and respect injectivity. handled holds the query
-    edges an indexed search has finished, whose pairs later growth never
-    adds (see _search); the default excludes none. With an Admissible
-    admit, only the extensions it admits are returned. The oracle grows by
-    it, and the indexed search asks it whether a handled edge extends a
-    state; indexed growth reads the same extensions from _child_scan.
+    qualifies when it is not in the mapping and at least one endpoint is
+    mapped; the target edge must be unused, direction-consistent, and
+    respect injectivity. With an Admissible admit, only the extensions it
+    admits are returned. The oracle grows by it, and the indexed search asks
+    it whether a handled edge extends a state; indexed growth reads the
+    same extensions, less those of handled edges, from _child_scan.
     """
     out = []
     used_te = {te for _, te in pairs}
     used_qe = {qe for qe, _ in pairs}
-    used_qe.update(handled)
     mapped_targets = set(nmap.values())
     directed = g.directed
     edges = g.edges
@@ -342,11 +341,10 @@ class _PairTableScorer:
     are read through memoryviews, which yield Python floats.
     """
 
-    def __init__(self, q_assocs, index, per_weights, order_weights, agg_min):
+    def __init__(self, q_assocs, index, per_weights, agg_min):
         self.q_assocs = q_assocs
         self.q_assoc = q_assocs[0]
         self.per_weights = per_weights
-        self.order_weights = order_weights
         self.agg_min = agg_min
         self.u = len(q_assocs)
         self.m_q = len(self.q_assoc)
@@ -387,7 +385,8 @@ class _PairTableScorer:
 
 
 class _TraditionalScorer:
-    """Context-free node+edge score; leaf entries order on uniform weights.
+    """Context-free node+edge score: one per mapped pair and the
+    traditional similarity of each mapped node.
 
     A pair's edge term is 1 wherever its target edge lies, so 1.0 is the
     exact value of every tree box; the node terms, each at most 1, are
@@ -395,8 +394,6 @@ class _TraditionalScorer:
     """
 
     def __init__(self, q, index):
-        d = len(q.schema)
-        self.order_weights = tuple(1.0 / d for _ in range(d))
         self.q = q
         self.g = index.graph
         self.q_assoc = association_vectors(q)
@@ -516,12 +513,12 @@ def _child_scan(q, g, scorer, admit):
 
     Returns scan(score, nmap, sig, handled, floor, on_stop) -> (has_ext,
     kids) for the state with node map nmap, sorted signature sig and score
-    score. has_ext tells whether _extensions(q, g, nmap, sig, handled, admit)
-    is non-empty. kids holds each of those extensions (qe, te, new) whose
-    estimate est = state_bound(score + pair_gain(qe, te, new), len(sig) + 1
-    + len(handled), len(nmap) + len(new)) + _growth_slack(m_q) is above
-    floor, as (-est, qe, te, free_q, cand), sorted: new is ((free_q, cand),),
-    or () when free_q is None.
+    score. has_ext tells whether _extensions(q, g, nmap, sig, admit) has an
+    extension whose query edge is not in handled. kids holds each of those
+    extensions (qe, te, new) whose estimate est = state_bound(score +
+    pair_gain(qe, te, new), len(sig) + 1 + len(handled), len(nmap) +
+    len(new)) + _growth_slack(m_q) is above floor, as (-est, qe, te, free_q,
+    cand), sorted: new is ((free_q, cand),), or () when free_q is None.
 
     An extension whose query edge qe has one endpoint, anchor_q, mapped to
     anchor_t comes from the candidate list of (qe, anchor_q, anchor_t),
@@ -626,9 +623,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
             exact_match=(), exact_relation=()):
     """Shared three-phase engine; exactly one of k / r is set.
 
-    The scorer supplies six members:
+    The scorer supplies five members, read here and by _child_scan:
       q_assoc                    association vectors of q's edges, by edge id
-      order_weights              feature weights that order leaf entries
       state_score(nmap, sig)     score of a mapping, summed along sig
       state_bound(score, n_settled, n_nodes)
                                  best final score reachable from a state
@@ -640,23 +636,23 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     The pair-table scorer builds its pair values against every target edge
     once, when it is made (pair_similarity_table), so pair_gain and
     state_score only read them by index.
-    A seed or box value v, pair_gain(qe, te, ()) or mbr_value(qe, mbr), with
-    n query edges settled is bounded by state_bound(v, n, 0): the value
-    covers the pair, and n_nodes = 0 leaves room for every node term. Both
-    scorers prune on it in every phase, on query edges, tree nodes and leaf
-    entries alike.
+    A seed or box value v, state_score({}, ((qe, te),)) or mbr_value(qe,
+    mbr), with n query edges settled is bounded by state_bound(v, n, 0): the
+    value covers the pair, and n_nodes = 0 leaves room for every node term.
+    Both scorers prune on it in every phase, on query edges, tree nodes and
+    leaf entries alike.
     Each leaf the tree descent reaches puts every seed it holds for the
     current query edge into one growth queue and grows that queue until its
-    best bound cannot beat the answer threshold. A leaf entry te is first
-    dropped, as one seed prune, when its pair bound, state_bound of
-    pair_gain(qe, te, ()), is at most the threshold: that bound is at least
-    the state bound of each of its seed orientations, so none of them could
-    have entered the queue. The entries that remain are ordered by
-    neighborhood similarity to qe, best first, ties by edge id, then
-    oriented and scored; an entry's orientations are pushed best-scoring
-    first, ties in _seed_orientations order, and each is cut on its own
-    state bound. The queue pops by bound, so this order only ranks seeds of
-    equal bound.
+    best bound cannot beat the answer threshold. Its entries are taken in
+    edge-id order. An entry te is first dropped, as one seed prune, when its
+    seed bound, state_bound(state_score({}, ((qe, te),)), n, 0), is at most
+    the threshold: a pair-table seed scores that value in every orientation,
+    and a traditional one scores 1.0 plus node terms that n_nodes = 0
+    covers, so none of its orientations could have entered the queue. The
+    entries that remain are oriented and scored; an entry's orientations
+    are pushed best-scoring first, ties in _seed_orientations order, and
+    each is cut on its own state bound. The queue pops by bound, so the
+    entry order only ranks seeds of equal bound.
     Growth prunes a child in two stages. The first bounds it from its parent
     alone, state_bound(parent score + pair_gain, ...) + _growth_slack(m_q),
     and drops it before its signature is built, remembered or scored; the
@@ -692,11 +688,11 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     when _extensions finds none at all: if a handled edge extends it, it is
     not maximal. Each bound counts handled edges as settled, since none of them
     can join: the state bound and the growth estimate take n_pairs +
-    len(handled), and the leaf pair bound, the seed-orientation bound, the
+    len(handled), and the leaf seed bound, the seed-orientation bound, the
     tree-node bound and the phase-1 query-edge bound take 1 + len(handled).
     exact_match and exact_relation are feature indices the match must keep
     exactly, on every pair and every mapped node (see admissible): a leaf
-    entry te is dropped before its pair bound when (qe, te) fails the
+    entry te is dropped before its seed bound when (qe, te) fails the
     relation filter, a seed orientation when a node fails the match filter,
     and _child_scan offers growth only admissible pairs. An admissible
     mapping grows from any of its pairs through admissible pairs alone, so
@@ -716,16 +712,12 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         audit.prunes.append((kind, bound, ans.least()))
 
     q_assoc = scorer.q_assoc
-    q_summaries = neighborhood_summary(q, q_assoc).tolist()
-    order_w = scorer.order_weights
-    summaries = index.summaries
     admit = None
     if exact_match or exact_relation:
         admit = admissible(q, g, q_assoc, index.assoc, exact_match,
                            exact_relation)
     state_score = scorer.state_score
     state_bound = scorer.state_bound
-    pair_gain = scorer.pair_gain
     scan = _child_scan(q, g, scorer, admit)
     on_stop = None if audit is None else (lambda est: prune("growth", est))
 
@@ -804,31 +796,24 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                               score, nmap, sig, kids, 0))
 
     def handle_leaf(qe, node):
-        # an entry whose pair value alone cannot beat the answer threshold
-        # is dropped first, before it is ordered or oriented; answers are
-        # offered only in grow, so the floor stays put while the leaf's seeds
-        # are gathered. The rest are ordered by neighborhood similarity, best
-        # first, ties by edge id; the queue pops by bound, so the order only
-        # ranks seeds of equal bound
+        # entries go in edge-id order; the queue pops by bound, so the order
+        # only ranks seeds of equal bound. An entry whose seed score alone
+        # cannot beat the answer threshold is dropped before it is oriented;
+        # answers are offered only in grow, so the floor stays put while the
+        # leaf's seeds are gathered
         floor = ans.floor()
         settled = 1 + len(handled)
         keep = admit.pair_ok[qe] if admit is not None else None
-        scored = []
-        for te in node.entries:
+        pq = []
+        for te in sorted(node.entries):
             if keep is not None and not keep[te]:
                 continue
-            bound = state_bound(pair_gain(qe, te, ()), settled, 0)
+            sig = ((qe, te),)
+            bound = state_bound(state_score({}, sig), settled, 0)
             if bound <= floor:
                 if audit is not None:
                     prune("seed", bound)
                 continue
-            ns = neighborhood_similarity(q_summaries[qe], summaries[te].tolist(),
-                                         order_w)
-            scored.append((-ns, te))
-        scored.sort()
-        pq = []
-        for _, te in scored:
-            sig = ((qe, te),)
             oriented = []
             for ori in _seed_orientations(q, g, qe, te, admit):
                 nmap = dict(ori)
@@ -885,8 +870,7 @@ def _build_scorer(q, index, params, weights):
     if weights is None:
         weights = weight_vector(q, index.null_model)
     weights = tuple(weights)
-    return _PairTableScorer([association_vectors(q)], index, [weights],
-                            weights, True)
+    return _PairTableScorer([association_vectors(q)], index, [weights], True)
 
 
 def topk_search(q, index, params=SearchParams(), weights=None, audit=None):

@@ -6,7 +6,6 @@ import inspect
 import math
 import time
 from itertools import product, takewhile
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -652,9 +651,11 @@ class TestGrowthPrefilter:
 class TestChildScan:
     @staticmethod
     def reference(q, g, scorer, admit, score, nmap, sig, handled, floor):
-        # _extensions, then the estimate of each child and the filter on it
+        # _extensions less the handled query edges, then the estimate of
+        # each child and the filter on it
         slack = _growth_slack(q.n_edges)
-        exts = _extensions(q, g, nmap, sig, handled, admit)
+        exts = [ext for ext in _extensions(q, g, nmap, sig, admit)
+                if ext[0] not in handled]
         kids = []
         for qe, te, new in exts:
             est = scorer.state_bound(score + scorer.pair_gain(qe, te, new),
@@ -856,16 +857,16 @@ class TestSeedPairBound:
            kind=st.sampled_from(["contextual", "traditional", "min", "mean"]),
            query_edges=st.integers(2, 4))
     def test_pair_bound_covers_every_orientation(self, seed, kind, query_edges):
-        # a leaf entry is dropped on its pair bound, state_bound(pair_gain,
-        # settled, 0), before any of its orientations is scored, so that
-        # bound must be at least the bound of every orientation, at every
-        # count of settled edges (the seed plus the query edges handled
-        # before it); a contextual seed reaches it exactly. The tree descent
-        # prunes on the same bound of each box value, so every node on the
-        # path from the root to te's leaf must bound each orientation too,
-        # and the pair bound as well, except under min: there pair_gain is
-        # the largest exemplar's value, which bounds growth, while a seed
-        # and a box take the least
+        # a leaf entry is dropped on its seed bound, state_bound of
+        # state_score({}, ((qe, te),)) at n_nodes = 0, before any of its
+        # orientations is scored, so that bound must be at least the bound
+        # of every orientation, at every count of settled edges (the seed
+        # plus the query edges handled before it); a pair-table seed, which
+        # scores no node, reaches it exactly. The tree descent prunes on the
+        # same bound of each box value, so every node on the path from the
+        # root to te's leaf must bound the seed bound too. pair_gain, which
+        # bounds growth, bounds it as well; under min it is the largest
+        # exemplar's value, while a seed and a box take the least
         rng = np.random.default_rng(seed)
         g, q = make_instance(rng, max_nodes=12, query_edges=query_edges)
         idx = index_with_tree(g, leaf_threshold=3)
@@ -883,66 +884,107 @@ class TestSeedPairBound:
         walk(idx.root, ())
         for qe, te in product(range(q.n_edges), range(g.n_edges)):
             for settled in range(1, q.n_edges + 1):
-                pair_bound = scorer.state_bound(scorer.pair_gain(qe, te, ()),
+                sig = ((qe, te),)
+                seed_bound = scorer.state_bound(scorer.state_score({}, sig),
                                                 settled, 0)
-                seed_bounds = [
-                    scorer.state_bound(scorer.state_score(dict(ori),
-                                                          ((qe, te),)),
+                ori_bounds = [
+                    scorer.state_bound(scorer.state_score(dict(ori), sig),
                                        settled, 2)
                     for ori in _seed_orientations(q, g, qe, te)]
-                if kind == "contextual":
-                    assert all(b == pair_bound for b in seed_bounds)
+                if kind == "traditional":
+                    assert all(b <= seed_bound for b in ori_bounds)
                 else:
-                    assert all(b <= pair_bound for b in seed_bounds)
+                    assert all(b == seed_bound for b in ori_bounds)
+                assert seed_bound <= scorer.state_bound(
+                    scorer.pair_gain(qe, te, ()), settled, 0)
                 for node in paths[te]:
-                    box_bound = scorer.state_bound(
+                    assert seed_bound <= scorer.state_bound(
                         scorer.mbr_value(qe, node.mbr), settled, 0)
-                    assert all(b <= box_bound for b in seed_bounds)
-                    if kind != "min":
-                        assert pair_bound <= box_bound
 
-    def test_dropped_entries_are_not_ordered(self, monkeypatch):
+    @staticmethod
+    def oriented(monkeypatch, search):
+        # the (query edge, target edge) pairs the search orients: _search
+        # calls _seed_orientations only for the leaf entries it keeps
+        seen = []
+
+        def recorded(q, g, qe, te, *rest, _fn=cg_search._seed_orientations):
+            seen.append((qe, te))
+            return _fn(q, g, qe, te, *rest)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(cg_search, "_seed_orientations", recorded)
+            search()
+        return seen
+
+    def test_dropped_entries_are_not_oriented(self, monkeypatch):
         # under a range threshold the floor never moves, so every entry
-        # whose pair bound falls below r is dropped before neighborhood
-        # similarity orders the leaf: no call may see such an entry
+        # whose seed bound falls below r is dropped before it is oriented:
+        # no orientation may be asked of such an entry
         g = spatial_graph(120, 400, seed=3, replicas=4)
         idx = index_with_tree(g, leaf_threshold=20)
         q = grow_query(g, 3, np.random.default_rng(36))
         w = weight_vector(q, idx.null_model)
         r = q.n_edges - 0.1
-        seen = []
-
-        # each summary row travels tagged with its edge, so a call names the
-        # very (query edge, target edge) pair it orders
-        class Tagged:
-            def __init__(self, rows):
-                self.rows = rows
-
-            def tolist(self):
-                return list(enumerate(self.rows.tolist()))
-
-            def __getitem__(self, e):
-                row = self.rows[e].tolist()
-                return SimpleNamespace(tolist=lambda: (e, row))
-
-        def summary(*args, _fn=cg_search.neighborhood_summary):
-            return Tagged(_fn(*args))
-
-        def nsim(s_q, s_t, weights, _fn=cg_search.neighborhood_similarity):
-            seen.append((s_q[0], s_t[0]))
-            return _fn(s_q[1], s_t[1], weights)
-
-        monkeypatch.setattr(cg_search, "neighborhood_summary", summary)
-        monkeypatch.setattr(cg_search, "neighborhood_similarity", nsim)
-        monkeypatch.setattr(idx, "summaries", Tagged(idx.summaries))
         audit = SearchAudit()
-        range_search(q, idx, r, weights=w, audit=audit)
+        seen = self.oriented(
+            monkeypatch, lambda: range_search(q, idx, r, weights=w, audit=audit))
         assert seen
         assert any(kind == "seed" for kind, _, _ in audit.prunes)
         q_assoc = association_vectors(q)
         for qe, te in seen:
             cs = edge_similarity(q_assoc[qe], idx.assoc[te], w)
             assert cs + (q.n_edges - 1) >= r
+
+    def test_min_entries_drop_on_the_least_exemplar(self, monkeypatch):
+        # under agg_mode="min" a seed scores its least exemplar's pair
+        # value in every orientation, so an entry whose least value plus the
+        # remaining query edges cannot reach r is dropped before it is
+        # oriented, though the largest exemplar's value, the growth gain,
+        # may reach r
+        g = spatial_graph(120, 400, seed=3, replicas=4)
+        idx = index_with_tree(g, leaf_threshold=20)
+        q = grow_query(g, 3, np.random.default_rng(36))
+        scorer = intent_scorer(shifted_exemplars(q), idx, agg_mode="min")
+        m_q = q.n_edges
+        r = m_q - 0.1
+        values = [[[edge_similarity(qa[qe], idx.assoc[te], w)
+                    for qa, w in zip(scorer.q_assocs, scorer.per_weights)]
+                   for te in range(g.n_edges)] for qe in range(m_q)]
+        # entries that only the largest exemplar lets through exist
+        assert any(min(v) + (m_q - 1) < r <= max(v) + (m_q - 1)
+                   for row in values for v in row)
+        seen = self.oriented(
+            monkeypatch, lambda: cg_search._search(q, idx, scorer, r=r))
+        assert seen
+        for qe, te in seen:
+            assert min(values[qe][te]) + (m_q - 1) >= r
+
+
+class TestNoSummaries:
+    def test_search_never_reads_the_summaries(self):
+        # leaf entries are seeded in edge-id order, so no search reads the
+        # index's neighborhood summaries: top-k, range and intent answers
+        # are the same once the array is gone
+        g = spatial_graph(120, 400, seed=3, replicas=4)
+        idx = build_index(g)
+        q = grow_query(g, 4, np.random.default_rng(5))
+        es = shifted_exemplars(q)
+
+        def answers():
+            runs = [topk_search(q, idx, SearchParams(k=5)),
+                    range_search(q, idx, q.n_edges - 0.5),
+                    topk_search(q, idx, SearchParams(k=5,
+                                                     scorer="traditional")),
+                    intent_topk(es, idx, SearchParams(k=5)),
+                    intent_topk(es, idx, SearchParams(k=5), agg_mode="mean")]
+            return [[(m.score, m.mapping.signature(),
+                      sorted(m.mapping.node_map.items())) for m in run]
+                    for run in runs]
+
+        want = answers()
+        assert all(want)
+        del idx.summaries
+        assert answers() == want
 
 
 class TestTraditionalPruning:
@@ -979,14 +1021,17 @@ class TestTraditionalPruning:
 class TestScorerProtocol:
     def test_docstring_names_every_member_search_reads(self):
         # the members the _search docstring lists are exactly the scorer
-        # attributes _search reads, and both scorers have each of them, so
-        # a member only one scorer needs shows up here
-        (fn,) = [node for node in ast.parse(inspect.getsource(cg_search)).body
-                 if isinstance(node, ast.FunctionDef) and node.name == "_search"]
-        read = {node.attr for node in ast.walk(fn)
+        # attributes _search and _child_scan read, and both scorers have
+        # each of them, so a member only one scorer needs shows up here
+        fns = {node.name: node
+               for node in ast.parse(inspect.getsource(cg_search)).body
+               if isinstance(node, ast.FunctionDef)}
+        read = {node.attr for name in ("_search", "_child_scan")
+                for node in ast.walk(fns[name])
                 if isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name) and node.value.id == "scorer"}
-        doc = ast.get_docstring(fn).splitlines()
+        assert "pair_gain" in read
+        doc = ast.get_docstring(fns["_search"]).splitlines()
         start = next(i for i, line in enumerate(doc)
                      if line.startswith("The scorer supplies"))
         block = takewhile(lambda line: line.startswith(" "), doc[start + 1:])
