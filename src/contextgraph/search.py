@@ -127,18 +127,20 @@ class Admissible(NamedTuple):
     node_ok: list
 
 
-def admissible(q, g, q_assoc, g_assoc, exact_match, exact_relation):
-    """The Admissible tables of intent filters on query q and target g.
+def admissible(q, index, q_assoc, exact_match, exact_relation):
+    """The Admissible tables of intent filters on query q and an index.
 
     exact_relation and exact_match are feature indices a match must keep
     exactly: pair (qe, te) is admissible when te's association components
-    (g_assoc, by target edge) on exact_relation equal qe's (q_assoc, by
-    query edge), and node assignment (qn, tn) when tn's values on
-    exact_match equal qn's. A table whose filter is empty is all True.
+    on exact_relation equal qe's (q_assoc, by query edge), and node
+    assignment (qn, tn) when tn's values on exact_match equal qn's. A table
+    whose filter is empty is all True. Each table is compared against the
+    index's distinct vectors and node rows, then widened to every target
+    edge and node by their classes.
     """
     rel = list(exact_relation)
     pair_ok = (np.asarray(q_assoc, dtype=float)[:, None, rel] ==
-               np.asarray(g_assoc, dtype=float)[None, :, rel]).all(axis=2)
+               index.vectors[None, :, rel]).all(axis=2)
     # one integer code per distinct value, so values of every kind compare
     # in one array pass; a code is shared only by equal values
     codes = {}
@@ -149,7 +151,9 @@ def admissible(q, g, q_assoc, g_assoc, exact_match, exact_relation):
                          for row in rows], dtype=np.int64)
 
     node_ok = (coded(q.node_features)[:, None, :] ==
-               coded(g.node_features)[None, :, :]).all(axis=2)
+               coded(index.node_rows)[None, :, :]).all(axis=2)
+    pair_ok = pair_ok.take(index.edge_class, axis=1)
+    node_ok = node_ok.take(index.node_class, axis=1)
     return Admissible([memoryview(row) for row in pair_ok],
                       [memoryview(row) for row in node_ok])
 
@@ -282,7 +286,24 @@ def enumerate_mcs(q, g, deadline=None, admit=None):
     return [found[sig] for sig in sorted(found)]
 
 
+def _check_weights(weights, schema):
+    """Caller weights as a tuple: one finite weight >= 0 per feature of
+    schema, or ValueError. mbr_similarity bounds a box only for weights
+    >= 0, and a NaN weight would make every score NaN and every bound
+    comparison false."""
+    weights = tuple(weights)
+    if len(weights) != len(schema):
+        raise ValueError(f"need one weight per feature ({len(schema)}), "
+                         f"got {len(weights)}")
+    for w in weights:
+        if not (math.isfinite(w) and w >= 0):
+            raise ValueError(f"weights must be finite and >= 0, got {w!r}")
+    return weights
+
+
 def _rank_all(q, g, params, weights, null_model, deadline):
+    if weights is not None:
+        weights = _check_weights(weights, q.schema)
     maps = enumerate_mcs(q, g, deadline)
     if params.scorer == "contextual":
         if weights is None:
@@ -313,9 +334,11 @@ def naive_topk(q, g, k, scorer="contextual", weights=None, null_model=None,
                deadline=None):
     """Reference top-k: exhaustive enumeration, then rank and cut.
 
-    k and scorer are checked by SearchParams, before any enumeration. Ties
-    break on the canonical signature. The score of each match is the
-    canonical pairwise sum, identical bit-for-bit to the indexed engine's.
+    k and scorer are checked by SearchParams, and weights, when given, are
+    one finite weight >= 0 per feature or ValueError, before any
+    enumeration. Ties break on the canonical signature. The score of each
+    match is the canonical pairwise sum, identical bit-for-bit to the
+    indexed engine's.
     """
     ranked = _rank_all(q, g, SearchParams(k, scorer), weights, null_model, deadline)
     return [ScoredMatch(m, s) for s, m in ranked[:k]]
@@ -338,7 +361,11 @@ class _PairTableScorer:
     edge ids) and weights per_weights[i]; a single query is u = 1 under min.
     Pair values come from one pair_similarity_table per exemplar, m_q * m * 8
     bytes for m target edges, plus one of pair gains when u > 1; their rows
-    are read through memoryviews, which yield Python floats.
+    are read through memoryviews, which yield Python floats. Each table and
+    the gain table are computed against the index's distinct vectors and
+    widened to every target edge by its class: every entry is computed
+    element by element, so the widened tables equal those computed against
+    every edge bit for bit.
     """
 
     def __init__(self, q_assocs, index, per_weights, agg_min):
@@ -348,13 +375,16 @@ class _PairTableScorer:
         self.agg_min = agg_min
         self.u = len(q_assocs)
         self.m_q = len(self.q_assoc)
-        tables = [pair_similarity_table(qa, index.assoc, w)
+        tables = [pair_similarity_table(qa, index.vectors, w)
                   for qa, w in zip(q_assocs, per_weights)]
         # min(s + c) <= min(s) + max(c) and mean(s + c) = mean(s) + mean(c), so
         # score + remaining edges bounds; sum() adds the exemplars in order,
         # and the max of one table is that table, not a copy
         gain = reduce(np.maximum, tables) if agg_min else sum(tables) / self.u
-        self.rows = [[memoryview(row) for row in table] for table in tables]
+        cls = index.edge_class
+        wide = [table.take(cls, axis=1) for table in tables]
+        gain = wide[0] if gain is tables[0] else gain.take(cls, axis=1)
+        self.rows = [[memoryview(row) for row in table] for table in wide]
         self.gain_rows = [memoryview(row) for row in gain]
 
     def state_score(self, nmap, sig):
@@ -633,9 +663,10 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
       pair_gain(qe, te, new)     upper bound on what pair (qe, te) and its new
                                  node assignments add to a state's score
       mbr_value(qe, mbr)         bound on qe's pair value under a tree box
-    The pair-table scorer builds its pair values against every target edge
-    once, when it is made (pair_similarity_table), so pair_gain and
-    state_score only read them by index.
+    The pair-table scorer builds its pair values once, when it is made
+    (pair_similarity_table): against each of the index's distinct
+    association vectors, then widened to every target edge by its class, so
+    pair_gain and state_score only read them by index.
     A seed or box value v, state_score({}, ((qe, te),)) or mbr_value(qe,
     mbr), with n query edges settled is bounded by state_bound(v, n, 0): the
     value covers the pair, and n_nodes = 0 leaves room for every node term.
@@ -691,13 +722,14 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     len(handled), and the leaf seed bound, the seed-orientation bound, the
     tree-node bound and the phase-1 query-edge bound take 1 + len(handled).
     exact_match and exact_relation are feature indices the match must keep
-    exactly, on every pair and every mapped node (see admissible): a leaf
-    entry te is dropped before its seed bound when (qe, te) fails the
-    relation filter, a seed orientation when a node fails the match filter,
-    and _child_scan offers growth only admissible pairs. An admissible
-    mapping grows from any of its pairs through admissible pairs alone, so
-    the argument above holds for filtered search too, and a state is offered
-    when no admissible pair extends it.
+    exactly, on every pair and every mapped node (see admissible, whose
+    tables are compared per distinct vector and node row and widened like
+    the pair values): a leaf entry te is dropped before its seed bound when
+    (qe, te) fails the relation filter, a seed orientation when a node fails
+    the match filter, and _child_scan offers growth only admissible pairs.
+    An admissible mapping grows from any of its pairs through admissible
+    pairs alone, so the argument above holds for filtered search too, and a
+    state is offered when no admissible pair extends it.
     """
     g = index.graph
     _check_compatible(q, g)
@@ -714,8 +746,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     q_assoc = scorer.q_assoc
     admit = None
     if exact_match or exact_relation:
-        admit = admissible(q, g, q_assoc, index.assoc, exact_match,
-                           exact_relation)
+        admit = admissible(q, index, q_assoc, exact_match, exact_relation)
     state_score = scorer.state_score
     state_bound = scorer.state_bound
     scan = _child_scan(q, g, scorer, admit)
@@ -865,20 +896,22 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
 
 
 def _build_scorer(q, index, params, weights):
+    if weights is not None:
+        weights = _check_weights(weights, q.schema)
     if params.scorer == "traditional":
         return _TraditionalScorer(q, index)
     if weights is None:
         weights = weight_vector(q, index.null_model)
-    weights = tuple(weights)
     return _PairTableScorer([association_vectors(q)], index, [weights], True)
 
 
 def topk_search(q, index, params=SearchParams(), weights=None, audit=None):
     """Exact top-k maximal common subgraphs of q in the indexed target.
 
-    params was checked when it was made. Returns ScoredMatch objects ranked
-    by (score desc, discovery asc); the score multiset always equals
-    naive_topk's on the same inputs.
+    params was checked when it was made; weights, when given, must hold one
+    finite weight >= 0 per feature, or ValueError. Returns ScoredMatch
+    objects ranked by (score desc, discovery asc); the score multiset
+    always equals naive_topk's on the same inputs.
     """
     scorer = _build_scorer(q, index, params, weights)
     return _search(q, index, scorer, k=params.k, audit=audit)

@@ -63,6 +63,16 @@ def make_instance(rng, min_nodes=8, max_nodes=28, directed=None,
     return g, q
 
 
+def signed_zero_graph(seed, directed=False):
+    """A random graph of 16 nodes and 40 edges whose numeric values repeat
+    and include both 0.0 and -0.0, so edges share association vectors and
+    nodes share feature rows."""
+    return random_graph(np.random.default_rng(seed), 16, 40,
+                        directed=directed,
+                        numeric_values=(0.0, -0.0, 1.0, 2.0),
+                        symbols=("a", "b"))
+
+
 def index_with_tree(g, branching=BRANCHING, leaf_threshold=LEAF_THRESHOLD):
     """build_index(g) with its tree rebuilt in another shape, so searches
     are checked on layouts other than the index's constant one."""

@@ -228,7 +228,7 @@ def test_filtered_intent_matches_the_exemplar_oracle(seed, query_edges):
     hc = hybrid_context(es, idx.null_model)
     assert hc.exact_match and hc.exact_relation
     admit = reference_admissible(q, g, hc)
-    tables = admissible(q, g, hc.aligned[0], idx.assoc, hc.exact_match,
+    tables = admissible(q, idx, hc.aligned[0], hc.exact_match,
                         hc.exact_relation)
     assert [list(row) for row in tables.pair_ok] == admit.pair_ok
     assert [list(row) for row in tables.node_ok] == admit.node_ok

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contextgraph.graph import CATEGORICAL_SET, NUMERIC, FeatureSchema, Graph
 from contextgraph.index import (BUCKETS, MBR, EdgeIndex, IndexFileError,
@@ -13,7 +15,8 @@ from contextgraph.index import (BUCKETS, MBR, EdgeIndex, IndexFileError,
 from contextgraph.similarity import (association_vector, association_vectors,
                                      edge_similarity)
 from contextgraph.synth import random_graph, spatial_graph
-from conftest import edit_index_payload, write_index_payload
+from conftest import (edit_index_payload, signed_zero_graph,
+                      write_index_payload)
 
 
 class TestMbr:
@@ -344,6 +347,59 @@ class TestBuildIndex:
         assert idx.assoc.shape == (g.n_edges, len(g.schema))
         for e in range(g.n_edges):
             assert tuple(idx.assoc[e].tolist()) == association_vector(g, e)
+
+
+def assert_classes_hold(idx, g):
+    """The distinct vectors and node rows, widened by class, give every
+    edge's vector and every node's row, and no two distinct ones are
+    equal."""
+    assert idx.edge_class.dtype == np.intp
+    assert idx.node_class.dtype == np.intp
+    assert np.array_equal(idx.vectors[idx.edge_class],
+                          np.asarray(association_vectors(g), dtype=float))
+    assert np.array_equal(idx.assoc, idx.vectors[idx.edge_class])
+    rows = idx.vectors.tolist()
+    assert len({tuple(row) for row in rows}) == len(rows)
+    assert [idx.node_rows[c] for c in idx.node_class] == g.node_features
+    assert len(set(idx.node_rows)) == len(idx.node_rows)
+
+
+class TestDistinctRows:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), directed=st.booleans())
+    def test_classes_widen_to_every_edge_and_node(self, seed, directed):
+        g = signed_zero_graph(seed, directed)
+        idx = build_index(g)
+        assert_classes_hold(idx, g)
+        assert len(idx.vectors) < g.n_edges
+
+    def test_signed_zeros_share_a_class(self):
+        # -0.0 == 0.0, so vectors that differ only in the sign of a zero
+        # are one distinct vector
+        schema = FeatureSchema(("x",), (NUMERIC,))
+        g = Graph(False, schema, [(0.0,), (2.0,), (-0.0,), (3.0,)],
+                  [(0, 1), (2, 3), (0, 2)])
+        idx = build_index(g)
+        assert idx.edge_class.tolist() == [0, 0, 1]
+        assert idx.node_class.tolist() == [0, 1, 0, 2]
+        assert_classes_hold(idx, g)
+
+    def test_benchmark_graph_distinct_rows(self):
+        stats = build_index(spatial_graph()).stats()
+        assert (stats["distinct_vectors"], stats["distinct_node_rows"]) == \
+            (660, 84)
+
+    def test_survive_save_and_load(self, tmp_path):
+        g = signed_zero_graph(11)
+        idx = build_index(g)
+        path = tmp_path / "g.cgq"
+        save_index(idx, path)
+        loaded = load_index(path)
+        assert_classes_hold(loaded, loaded.graph)
+        assert np.array_equal(loaded.vectors, idx.vectors)
+        assert loaded.edge_class.tolist() == idx.edge_class.tolist()
+        assert loaded.node_rows == idx.node_rows
+        assert loaded.node_class.tolist() == idx.node_class.tolist()
 
 
 class TestPersistence:

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import functools
 import inspect
 import math
 import time
@@ -26,10 +27,11 @@ from contextgraph.search import (SCORERS, SearchAudit, SearchParams,
                                  _seed_orientations, admissible, enumerate_mcs,
                                  naive_range, naive_topk, range_search,
                                  topk_search)
-from contextgraph.similarity import association_vectors, edge_similarity
+from contextgraph.similarity import (association_vectors, edge_similarity,
+                                     pair_similarity_table)
 from contextgraph.synth import grow_query, random_graph, spatial_graph
 from conftest import (index_with_tree, intent_scorer, make_instance,
-                      shifted_exemplars)
+                      shifted_exemplars, signed_zero_graph)
 
 CAT1 = FeatureSchema(("c",), (CATEGORICAL,))
 
@@ -684,7 +686,7 @@ class TestChildScan:
         if filtered:
             features = range(len(q.schema))
             admit = admissible(
-                q, g, scorer.q_assoc, idx.assoc,
+                q, idx, scorer.q_assoc,
                 [f for f in features if rng.random() < 0.4],
                 [f for f in features if rng.random() < 0.4])
         scan = _child_scan(q, g, scorer, admit)
@@ -985,6 +987,120 @@ class TestNoSummaries:
         assert all(want)
         del idx.summaries
         assert answers() == want
+
+
+def bits(a):
+    """The float64 bit patterns of an array, so that equality also tells
+    0.0 from -0.0."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@functools.lru_cache(maxsize=1)
+def c10_index():
+    return build_index(spatial_graph())
+
+
+class TestDistinctTables:
+    """The pair-table scorer and admissible compute over the index's
+    distinct vectors and node rows and widen the results by class; what
+    they hold equals the tables computed against every target edge and
+    node, bit for bit."""
+
+    @staticmethod
+    def assert_tables_widen(scorer, idx):
+        got = [np.array([np.asarray(row) for row in rows])
+               for rows in scorer.rows]
+        got_gain = np.array([np.asarray(row) for row in scorer.gain_rows])
+        for targets in (idx.assoc, association_vectors(idx.graph)):
+            want = [pair_similarity_table(qa, targets, w)
+                    for qa, w in zip(scorer.q_assocs, scorer.per_weights)]
+            gain = (functools.reduce(np.maximum, want) if scorer.agg_min
+                    else sum(want) / scorer.u)
+            assert len(got) == len(want) == scorer.u
+            for table, table_want in zip(got, want):
+                assert_same_bits(table, table_want)
+            assert_same_bits(got_gain, gain)
+
+    @pytest.mark.parametrize("kind", ["contextual", "min", "mean"])
+    def test_c10_tables(self, kind):
+        idx = c10_index()
+        q = grow_query(idx.graph, 6, np.random.default_rng(2))
+        self.assert_tables_widen(make_scorer(kind, q, idx), idx)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), directed=st.booleans(),
+           kind=st.sampled_from(["contextual", "min", "mean"]))
+    def test_tables_on_repeated_and_signed_zero_vectors(self, seed, directed,
+                                                        kind):
+        g = signed_zero_graph(seed, directed)
+        idx = build_index(g)
+        q = grow_query(g, 3, np.random.default_rng(seed))
+        self.assert_tables_widen(make_scorer(kind, q, idx), idx)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), directed=st.booleans())
+    def test_admissible_on_repeated_and_signed_zero_rows(self, seed,
+                                                         directed):
+        # read off the features one pair and one node at a time
+        rng = np.random.default_rng(seed)
+        g = signed_zero_graph(seed, directed)
+        idx = build_index(g)
+        q = grow_query(g, 3, rng)
+        features = range(len(g.schema))
+        em = [f for f in features if rng.random() < 0.5]
+        er = [f for f in features if rng.random() < 0.5]
+        qa, ga = association_vectors(q), association_vectors(g)
+        admit = admissible(q, idx, qa, em, er)
+        assert [list(row) for row in admit.pair_ok] == \
+            [[all(qa[qe][f] == ga[te][f] for f in er)
+              for te in range(g.n_edges)] for qe in range(q.n_edges)]
+        assert [list(row) for row in admit.node_ok] == \
+            [[all(q.node_features[qn][f] == g.node_features[tn][f]
+                  for f in em)
+              for tn in range(g.n_nodes)] for qn in range(q.n_nodes)]
+
+
+class TestCallerWeights:
+    """Caller weights hold one finite weight >= 0 per feature; the indexed
+    engine and the oracle check them alike, before any search."""
+
+    BAD = [(math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0), (-0.25, 0.75, 0.5),
+           (0.5, 0.5), (0.25, 0.25, 0.25, 0.25)]
+    IDS = ["nan", "inf", "negative", "short", "long"]
+
+    @staticmethod
+    def instance():
+        g = random_graph(np.random.default_rng(3), 25, 45)
+        return g, grow_query(g, 3, np.random.default_rng(4)), build_index(g)
+
+    @pytest.mark.parametrize("weights", BAD, ids=IDS)
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_every_search_rejects(self, weights, scorer):
+        g, q, idx = self.instance()
+        params = SearchParams(k=3, scorer=scorer)
+        runs = [lambda: topk_search(q, idx, params, weights=weights),
+                lambda: range_search(q, idx, 1.0, params, weights=weights),
+                lambda: naive_topk(q, g, 3, scorer, weights=weights),
+                # checked before the enumeration, whose deadline is past
+                lambda: naive_topk(q, g, 3, scorer, weights=weights,
+                                   deadline=0.0),
+                lambda: naive_range(q, g, 1.0, scorer, weights=weights)]
+        for run in runs:
+            with pytest.raises(ValueError, match="weight"):
+                run()
+
+    def test_zero_weights_and_arrays_pass(self):
+        g, q, idx = self.instance()
+        for w in [(0.0, 0.0, 1.0), np.array([0.25, 0.0, 0.75]), [0, 1, 0]]:
+            got = topk_search(q, idx, SearchParams(k=4), weights=w)
+            want = naive_topk(q, g, 4, weights=w)
+            assert got and [m.score for m in got] == [m.score for m in want]
+            assert all(math.isfinite(m.score) for m in got)
 
 
 class TestTraditionalPruning:
