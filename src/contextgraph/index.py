@@ -3,17 +3,18 @@
 The tree recursively partitions the target's edges on the highest-variance
 association dimension; every node keeps the minimum bounding rectangle (MBR)
 of its edges' association vectors, so the best edge similarity under a node
-can be bounded without visiting it. The association vectors are kept as the
-array of the distinct vectors plus each edge's class, a row of that array,
-and as the (m, d) float64 array they make, row e being edge e's vector. The
-c10 benchmark graph has 660 distinct vectors among its 15,069 edges and 84
+can be bounded without visiting it. The association vectors are kept only as
+the array of the distinct vectors plus each edge's class, a row of that
+array; the (m, d) float64 array they make, row e being edge e's vector, is
+built when it is read (EdgeIndex.assoc) and by build_index. The c10
+benchmark graph has 660 distinct vectors among its 15,069 edges and 84
 distinct node-feature rows among its 1,434 nodes, which the index keeps the
-same way; the searches compare the query against each distinct vector or
-row once and widen the result to every edge or node by class. The index
-also keeps per-edge neighborhood summaries, histograms of the association
-values on the adjacent edges in BUCKETS buckets, as one int32 array of shape
-(m, d, BUCKETS), row e being edge e's summary; no search reads them, since
-a leaf's seed candidates are taken in edge-id order.
+same way; the searches compare the query against each distinct vector or row
+once and widen the result to every edge or node by class. The index also
+keeps per-edge neighborhood summaries, histograms of the association values
+on the adjacent edges in BUCKETS buckets, as one int32 array of shape (m, d,
+BUCKETS), row e being edge e's summary; no search reads them, since a
+leaf's seed candidates are taken in edge-id order.
 
 The tree's shape is fixed: BRANCHING children per inner node, and a node
 holding fewer than LEAF_THRESHOLD edges becomes a leaf.
@@ -241,8 +242,9 @@ class EdgeIndex:
 
     vectors is the (c, d) float64 array of the target's c distinct
     association vectors and edge_class the intp array mapping each edge id
-    to its row there; assoc = vectors[edge_class] is the (m, d) array of
-    every edge's vector, row e being edge e's. node_rows lists the distinct
+    to its row there; the assoc property builds vectors[edge_class], the
+    (m, d) array of every edge's vector, row e being edge e's, on each
+    read, since no search needs it. node_rows lists the distinct
     node-feature rows and node_class maps each node id to its position
     there. Rows that compare equal share a class (0.0 and -0.0 among
     them), so a per-query pass over the target can compute one value per
@@ -256,11 +258,14 @@ class EdgeIndex:
         self.null_model = null_model
         self.vectors = vectors
         self.edge_class = edge_class
-        self.assoc = vectors[edge_class]
         self.node_rows = node_rows
         self.node_class = node_class
         self.summaries = summaries
         self.root = root
+
+    @property
+    def assoc(self):
+        return self.vectors[self.edge_class]
 
     def stats(self):
         leaves = []

@@ -15,9 +15,11 @@ order, as seeds into one bound-ordered growth queue (phase 3). A leaf entry
 whose seed score alone cannot beat the answer threshold is dropped before
 it is oriented. Growth prunes a child in two stages: first on a bound
 estimated from its parent's score and the pair it adds, read from
-per-search candidate lists sorted by that pair value so a scan stops at its
-first cut child; the children that survive are queued unbuilt as one entry
-per expansion, which each pop moves on to the next child, and a child is
+per-search candidate lists sorted by that pair value. An expansion queues
+one unbuilt entry per list, at its first usable child, and each pop moves
+that list's cursor on to the next child, estimated only then, so a list
+stops at its first cut child and most children are never estimated (as in
+Enhanced Partial Expansion A*, Felner et al., JAIR 2012). A child is
 built, remembered and scored only when it is popped, and then cut on the
 bound of its canonical score. Every discarded state is covered by an upper
 bound that cannot beat the current answer threshold, so the returned score
@@ -94,10 +96,12 @@ class SearchAudit:
     prune could have removed a result that belongs in the answer set. A
     "seed" prune counts once per leaf entry dropped on its seed bound, and
     once per seed orientation dropped after it was scored. A "growth" prune
-    counts once per stop of a candidate scan (the estimate it stops at
-    bounds every later candidate of that list) or closing pair dropped on
-    its estimate before it is queued, and once per child cut on its
-    canonical bound when it is popped.
+    counts once per stop of a candidate list's cursor, when the cursor
+    reaches its first cut entry, at the scan or at the advance of a pop (the
+    estimate it stops at bounds every later entry of that list), and not at
+    all when the queue stops first; once per closing pair dropped on its
+    estimate at the scan; and once per child cut on its canonical bound when
+    it is popped.
     """
 
     def __init__(self):
@@ -539,27 +543,41 @@ def _growth_slack(m_q):
 
 
 def _child_scan(q, g, scorer, admit):
-    """The children of one growth expansion that pass the estimate filter.
+    """Growth children, read one at a time from sorted candidate lists.
 
-    Returns scan(score, nmap, sig, handled, floor, on_stop) -> (has_ext,
-    kids) for the state with node map nmap, sorted signature sig and score
-    score. has_ext tells whether _extensions(q, g, nmap, sig, admit) has an
-    extension whose query edge is not in handled. kids holds each of those
-    extensions (qe, te, new) whose estimate est = state_bound(score +
-    pair_gain(qe, te, new), len(sig) + 1 + len(handled), len(nmap) +
-    len(new)) + _growth_slack(m_q) is above floor, as (-est, qe, te, free_q,
-    cand), sorted: new is ((free_q, cand),), or () when free_q is None.
+    Returns (scan, advance). scan(score, nmap, sig, handled, floor, on_stop)
+    -> (has_ext, heads) serves the state with node map nmap, sorted
+    signature sig and score score. has_ext tells whether _extensions(q, g,
+    nmap, sig, admit) has an extension whose query edge is not in handled.
+    The estimate of such an extension (qe, te, new) is est =
+    state_bound(score + pair_gain(qe, te, new), len(sig) + 1 + len(handled),
+    len(nmap) + len(new)) + _growth_slack(m_q). heads holds, per query edge
+    qe, the first of its extensions in list order as (-est, qe, pos, src),
+    when est is above floor.
 
     An extension whose query edge qe has one endpoint, anchor_q, mapped to
     anchor_t comes from the candidate list of (qe, anchor_q, anchor_t),
     built once per _child_scan call, when a scan first needs it: anchor_t's
     incident target edges that keep the direction and the filters, as flat
     lists of gains, target edges and free target nodes, sorted by gain
-    descending, ties by edge id. A scan of the list skips used edges and
-    mapped nodes and stops at the first extension whose estimate is at most
-    floor, and calls on_stop, unless it is None, with that estimate: rounded
-    addition never decreases, so it bounds every later extension of the
-    list too.
+    descending, ties by edge id. An entry is usable when its edge is unused
+    and its free node unmapped. The scan stops each list at its first usable
+    entry; a query edge whose endpoints are both mapped has one extension,
+    the closing pair, a list of that one entry. src = (found, free_q,
+    used_te, mapped) holds the list (gains, target edges, free target nodes)
+    and, shared by every head of the state, its used edges and mapped nodes:
+    entry pos of the list is the extension (qe, found[1][pos], ((free_q,
+    found[2][pos]),)), or (qe, found[1][pos], ()) when free_q is None.
+
+    advance(score, n_settled, n_nodes, pos, src, floor, on_stop) moves a
+    head's cursor on to the next usable entry of its list and returns it as
+    (-est, pos), est = state_bound(score + gain, n_settled, n_nodes) +
+    slack, with n_settled and n_nodes those of the entries' estimates, or
+    None when the list holds no more usable entries or est is at most floor.
+    Rounded addition never decreases, so a cursor's estimates never rise,
+    and when one is at most floor it bounds every later entry of the list
+    too: the cursor stops there, and on_stop, unless it is None, is called
+    with that estimate, once per list at most.
     """
     directed = g.directed
     edges = g.edges
@@ -604,7 +622,7 @@ def _child_scan(q, g, scorer, admit):
         settled = len(sig) + 1 + len(handled)
         n_nodes = len(nmap)
         has_ext = False
-        kids = []
+        heads = []
         for qe in range(m_q):
             if qe in used_qe:
                 continue
@@ -626,27 +644,44 @@ def _child_scan(q, g, scorer, admit):
                 est = state_bound(score + pair_gain(qe, te, ()), settled,
                                   n_nodes) + slack
                 if est > floor:
-                    kids.append((-est, qe, te, None, None))
+                    heads.append((-est, qe, 0,
+                                  ((None, (te,), None), None, used_te,
+                                   mapped)))
                 elif on_stop is not None:
                     on_stop(est)
                 continue
             found = lists[2 * qe + side].get(anchor_t)
             if found is None:
                 found = candidates(qe, side, anchor_t)
-            for gain, te, cand in zip(*found):
-                if te in used_te or cand in mapped:
+            gains, tes, cands = found
+            for pos, te in enumerate(tes):
+                if te in used_te or cands[pos] in mapped:
                     continue
                 has_ext = True
-                est = state_bound(score + gain, settled, n_nodes + 1) + slack
-                if est <= floor:
-                    if on_stop is not None:
-                        on_stop(est)
-                    break
-                kids.append((-est, qe, te, free_q, cand))
-        kids.sort()
-        return has_ext, kids
+                est = state_bound(score + gains[pos], settled,
+                                  n_nodes + 1) + slack
+                if est > floor:
+                    heads.append((-est, qe, pos,
+                                  (found, free_q, used_te, mapped)))
+                elif on_stop is not None:
+                    on_stop(est)
+                break
+        return has_ext, heads
 
-    return scan
+    def advance(score, settled, n_nodes, pos, src, floor, on_stop):
+        (gains, tes, cands), _, used_te, mapped = src
+        for pos in range(pos + 1, len(tes)):
+            if tes[pos] in used_te or cands[pos] in mapped:
+                continue
+            est = state_bound(score + gains[pos], settled, n_nodes) + slack
+            if est > floor:
+                return -est, pos
+            if on_stop is not None:
+                on_stop(est)
+            return None
+        return None
+
+    return scan, advance
 
 
 def _search(q, index, scorer, k=None, r=None, audit=None,
@@ -689,26 +724,34 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
     and drops it before its signature is built, remembered or scored; the
     slack makes this estimate at least the child's canonical bound despite
     rounding, so it only drops children the second stage would drop. The
-    children and their estimates come from _child_scan, which reads them
-    from candidate lists sorted by pair_gain and stops a list at its first
-    dropped child; every later child of the list has an estimate no larger.
-    An expansion queues the children that survive as one unbuilt entry: its
-    state and those children sorted by (-estimate, qe, te), keyed by the
-    first child's estimate, the depth and one tick drawn for the expansion.
-    Popping the entry queues it again, keyed by the next child's estimate,
-    before that child is built. A child's key is thus the one it would have
-    had queued on its own, and since the ticks drawn for one expansion's
-    children would have been consecutive, in (qe, te) order, and no other
-    entry's tick falls between them, the queue pops the same children in
-    the same order as when every child was queued on its own. Only when a
-    child is popped is its signature built, checked against the visited
-    set, its node map copied and its score computed canonically by
-    state_score; it is cut on that bound or expanded at once. Most children
-    are never popped, since a queue stops at its first key that cannot beat
-    the threshold, and the key is at least the child's canonical bound, so
-    the stop stays sound. A child dropped early, or queued again by another
-    parent before its first pop, is not remembered, so it may be reached and
-    dropped again; only its first pop expands it.
+    children come from _child_scan's candidate lists, sorted by pair_gain
+    descending, ties by target edge, one list per anchored query edge; a
+    closing pair is a list of one. An expansion queues one unbuilt entry per
+    list cursor, (-estimate, depth, tick, qe, pos, score, nmap, sig, src):
+    the list's first usable child, at list position pos, with the state it
+    extends. Every entry of one expansion carries the one tick drawn for
+    it, and seeds take the same shape with src None, so (tick, qe) is
+    unique per live entry and the queue never compares the states. Popping
+    a child's entry first moves its list's cursor on to the next usable
+    entry and estimates that one, against the current threshold: it is
+    queued again under the same tick when its estimate can beat the
+    threshold, and otherwise the list stops, since every later entry's
+    estimate is no larger. An entry whose key cannot beat the threshold is
+    never queued, and the threshold only rises, so the queue pops the same
+    entries before it stops as if it held them. The children of one
+    expansion thus pop in (-estimate, qe, list position) order, and the
+    queue orders them with every other entry by (-estimate, depth, tick):
+    the order of queueing every child alone, sorted by (-estimate, qe, te),
+    except for two entries of one list whose different gains round to one
+    estimate, which pop larger gain first. Only when a child is popped is
+    its signature built, checked against the visited set, its node map
+    copied and its score computed canonically by state_score; it is cut on
+    that bound or expanded at once. Most children are never estimated, and
+    most estimated ones never popped, since a queue stops at its first key
+    that cannot beat the threshold, and the key is at least the child's
+    canonical bound, so the stop stays sound. A child dropped early, or
+    queued again by another parent before its first pop, is not remembered,
+    so it may be reached and dropped again; only its first pop expands it.
     Phase 1 adds a query edge to handled once its tree descent has run out
     or been cut. Every mapping holding a pair of a handled edge qe0 is then
     covered: it was grown from its qe0 seed, or it was cut on a bound that
@@ -749,7 +792,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         admit = admissible(q, index, q_assoc, exact_match, exact_relation)
     state_score = scorer.state_score
     state_bound = scorer.state_bound
-    scan = _child_scan(q, g, scorer, admit)
+    scan, advance = _child_scan(q, g, scorer, admit)
     on_stop = None if audit is None else (lambda est: prune("growth", est))
 
     # query edges whose phase has ended
@@ -775,27 +818,30 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
         floor = ans.floor()
         n_handled = len(handled)
         while pq:
-            negb, depth, t, score, nmap, sig, kids, i = heappop(pq)
-            if -negb <= floor:
+            negk, depth, t, qe, pos, score, nmap, sig, src = heappop(pq)
+            if -negk <= floor:
                 if audit is not None:
-                    prune("growth-queue", -negb)
+                    prune("growth-queue", -negk)
                 break
-            if kids is not None:
-                # the cursor moves on to the next sibling before this child
-                # is built, under the tick its expansion reserved
-                _, qe2, te2, free_q, cand = kids[i]
-                if i + 1 < len(kids):
-                    heappush(pq, (kids[i + 1][0], depth, t, score, nmap, sig,
-                                  kids, i + 1))
-                pair = (qe2, te2)
-                pos = bisect_left(sig, pair)
-                sig = sig[:pos] + (pair,) + sig[pos:]
+            if src is not None:
+                # the list's cursor moves on to its next usable entry, queued
+                # under the tick its expansion drew, before this child is
+                # built
+                nxt = advance(score, len(sig) + 1 + n_handled, len(nmap) + 1,
+                              pos, src, floor, on_stop)
+                if nxt is not None:
+                    heappush(pq, (nxt[0], depth, t, qe, nxt[1], score, nmap,
+                                  sig, src))
+                (_, tes, cands), free_q = src[0], src[1]
+                pair = (qe, tes[pos])
+                at = bisect_left(sig, pair)
+                sig = sig[:at] + (pair,) + sig[at:]
                 if sig in visited:
                     continue
                 visited.add(sig)
                 if free_q is not None:
                     nmap = dict(nmap)
-                    nmap[free_q] = cand
+                    nmap[free_q] = cands[pos]
                 score = state_score(nmap, sig)
                 bound = state_bound(score, len(sig) + n_handled, len(nmap))
                 if bound <= floor:
@@ -804,7 +850,7 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                     continue
             if audit is not None:
                 audit.expanded += 1
-            has_ext, kids = scan(score, nmap, sig, handled, floor, on_stop)
+            has_ext, heads = scan(score, nmap, sig, handled, floor, on_stop)
             if not has_ext:
                 # a state that only a handled edge extends is not maximal;
                 # its maximal mappings were covered in that edge's phase
@@ -818,13 +864,13 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                         audit.offers += 1
                         audit.least_trace.append(ans.least())
                 continue
-            if kids:
-                # one entry per expansion, keyed by its best child's
-                # estimate; equal keys pop deepest-first: finishing a
-                # mapping early raises the answer threshold and shrinks the
-                # frontier
-                heappush(pq, (kids[0][0], m_q - len(sig) - 1, next(tick),
-                              score, nmap, sig, kids, 0))
+            # one entry per list cursor, all under one tick drawn for the
+            # expansion; equal keys pop deepest-first: finishing a mapping
+            # early raises the answer threshold and shrinks the frontier
+            depth = m_q - len(sig) - 1
+            t = next(tick)
+            for negk, qe, pos, src in heads:
+                heappush(pq, (negk, depth, t, qe, pos, score, nmap, sig, src))
 
     def handle_leaf(qe, node):
         # entries go in edge-id order; the queue pops by bound, so the order
@@ -860,8 +906,8 @@ def _search(q, index, scorer, k=None, r=None, audit=None,
                     if audit is not None:
                         prune("seed", bound)
                     continue
-                heappush(pq, (-bound, m_q - 1, next(tick), score, nmap, sig,
-                              None, 0))
+                heappush(pq, (-bound, m_q - 1, next(tick), qe, 0, score,
+                              nmap, sig, None))
         grow(pq)
 
     root = index.root

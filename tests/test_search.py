@@ -5,7 +5,9 @@ import dataclasses
 import functools
 import inspect
 import math
+import sys
 import time
+from heapq import heapify, heappop, heappush
 from itertools import product, takewhile
 
 import numpy as np
@@ -654,18 +656,42 @@ class TestChildScan:
     @staticmethod
     def reference(q, g, scorer, admit, score, nmap, sig, handled, floor):
         # _extensions less the handled query edges, then the estimate of
-        # each child and the filter on it
+        # each child and the filter on it, in the order a growth queue pops
+        # one expansion's children: (-est, qe, -gain, te)
         slack = _growth_slack(q.n_edges)
         exts = [ext for ext in _extensions(q, g, nmap, sig, admit)
                 if ext[0] not in handled]
         kids = []
         for qe, te, new in exts:
-            est = scorer.state_bound(score + scorer.pair_gain(qe, te, new),
+            gain = scorer.pair_gain(qe, te, new)
+            est = scorer.state_bound(score + gain,
                                      len(sig) + 1 + len(handled),
                                      len(nmap) + len(new)) + slack
             if est > floor:
-                kids.append((-est, qe, te, new))
-        return bool(exts), sorted(kids)
+                kids.append((-est, qe, -gain, te, new))
+        return bool(exts), [(negest, qe, te, new)
+                            for negest, qe, _, te, new in sorted(kids)]
+
+    @staticmethod
+    def drain(scan, advance, score, nmap, sig, handled, floor, on_stop):
+        # the children of one state as a growth queue pops them: the
+        # scan's heads, each pop moving its list's cursor on at the fixed
+        # floor; (negest, qe) is unique per live entry, so src is never
+        # compared
+        has_ext, queue = scan(score, nmap, sig, handled, floor, on_stop)
+        heapify(queue)
+        settled = len(sig) + 1 + len(handled)
+        kids = []
+        while queue:
+            negest, qe, pos, src = heappop(queue)
+            (_, tes, cands), free_q, _, _ = src
+            nxt = advance(score, settled, len(nmap) + 1, pos, src, floor,
+                          on_stop)
+            if nxt is not None:
+                heappush(queue, (nxt[0], qe, nxt[1], src))
+            new = () if free_q is None else ((free_q, cands[pos]),)
+            kids.append((negest, qe, tes[pos], new))
+        return has_ext, kids
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -674,9 +700,9 @@ class TestChildScan:
            query_edges=st.integers(2, 5))
     def test_scan_equals_extensions_and_estimate(self, seed, kind, directed,
                                                  filtered, query_edges):
-        # one scan serves every state of the instance, so later states read
-        # candidate lists built for earlier ones; floors run from -inf to
-        # above the best estimate, through each estimate itself
+        # one _child_scan serves every state of the instance, so later
+        # states read candidate lists built for earlier ones; floors run
+        # from -inf to above the best estimate, through each estimate itself
         rng = np.random.default_rng(seed)
         g, q = make_instance(rng, max_nodes=14, directed=directed,
                              query_edges=query_edges)
@@ -689,7 +715,7 @@ class TestChildScan:
                 q, idx, scorer.q_assoc,
                 [f for f in features if rng.random() < 0.4],
                 [f for f in features if rng.random() < 0.4])
-        scan = _child_scan(q, g, scorer, admit)
+        scan, advance = _child_scan(q, g, scorer, admit)
         stack = [(dict(ori), ((qe, te),)) for qe in range(q.n_edges)
                  for te in range(g.n_edges)
                  for ori in _seed_orientations(q, g, qe, te, admit)]
@@ -712,11 +738,8 @@ class TestChildScan:
                 has_ext, want = self.reference(q, g, scorer, admit, score,
                                                nmap, sig, handled, floor)
                 stops = []
-                got_ext, kids = scan(score, nmap, sig, handled, floor,
-                                     stops.append)
-                got = [(negest, qe, te,
-                        () if free_q is None else ((free_q, cand),))
-                       for negest, qe, te, free_q, cand in kids]
+                got_ext, got = self.drain(scan, advance, score, nmap, sig,
+                                          handled, floor, stops.append)
                 assert got_ext == has_ext
                 assert got == want
                 assert all(est <= floor for est in stops)
@@ -727,6 +750,41 @@ class TestChildScan:
                 if sig2 not in seen:
                     seen.add(sig2)
                     stack.append(({**nmap, **dict(new)}, sig2))
+
+    def test_equal_estimates_pop_in_list_order(self):
+        # two entries of one list whose gains differ but round to one
+        # estimate pop in list order, larger gain first, though its edge id
+        # is the larger: a queue of every child sorted by (-est, qe, te)
+        # popped them the other way round
+        class Scorer:
+            gains = {0: 1.0, 1: 0.5, 2: 0.5 + 2.0 ** -53}
+
+            def pair_gain(self, qe, te, new):
+                return self.gains[te]
+
+            def state_bound(self, score, n_pairs, n_nodes):
+                return score
+
+        # query path 0-1-2 grown from its first edge mapped onto star edge
+        # 0 = (0, 1): its second edge extends from target node 0 along
+        # edge 1 or 2
+        g = cat_graph("aaaa", [(0, 1), (0, 2), (0, 3)])
+        q = cat_graph("aaa", [(0, 1), (1, 2)])
+        scorer = Scorer()
+        assert scorer.gains[1] != scorer.gains[2]
+        assert 1.0 + scorer.gains[1] == 1.0 + scorer.gains[2]
+        scan, advance = _child_scan(q, g, scorer, None)
+        nmap, sig = {0: 1, 1: 0}, ((0, 0),)
+        want = [(1, 2, ((2, 3),)), (1, 1, ((2, 2),))]
+        for floor in (-math.inf, 0.0):
+            has_ext, kids = self.drain(scan, advance, 1.0, nmap, sig, (),
+                                       floor, None)
+            assert has_ext
+            assert [kid[1:] for kid in kids] == want
+            assert kids[0][0] == kids[1][0]
+        _, ref = self.reference(q, g, scorer, None, 1.0, nmap, sig, (),
+                                -math.inf)
+        assert [kid[1:] for kid in ref] == want
 
 
 class TestChildrenBuiltAtPop:
@@ -768,13 +826,13 @@ class TestChildrenBuiltAtPop:
         seen = []
 
         def recorded(*args, _fn=cg_search._child_scan):
-            scan = _fn(*args)
+            scan, advance = _fn(*args)
 
             def recorded_scan(score, nmap, sig, *rest):
                 seen.append((tuple(sig), tuple(sorted(nmap.items()))))
                 return scan(score, nmap, sig, *rest)
 
-            return recorded_scan
+            return recorded_scan, advance
 
         with monkeypatch.context() as mp:
             mp.setattr(cg_search, "_child_scan", recorded)
@@ -800,57 +858,99 @@ class TestChildrenBuiltAtPop:
                     monkeypatch, lambda: topk_search(q, idx, params))
                 assert len(set(seen)) == len(seen)
 
-    def test_one_push_per_expansion_and_pop(self, monkeypatch):
-        # an expansion queues one entry for all its children, and popping
-        # it queues at most one more, for the next sibling; pushing every
-        # child that passes its estimate made 9,832 growth pushes here,
-        # against 468 expansions and 681 pops (729 pushes now)
-        g, q = self.replicated_instance()
-        pushes = []
-        pops = []
+    @staticmethod
+    def growth_log(monkeypatch):
+        # one top-k search of the replicated instance, logging the heads
+        # each scan returns, the growth cuts made at the scan, every push
+        # and pop of a child entry (a 9-tuple whose src is not None; a seed
+        # holds None and the tree descent's entries are 4-tuples), and the
+        # estimates computed, told apart by the function that computes them
+        g, q = TestChildrenBuiltAtPop.replicated_instance()
+        log = {"heads": 0, "scan_stops": 0, "pushes": [], "pops": 0,
+               "scan": 0, "advance": 0}
 
-        def counted_push(heap, item, _fn=cg_search.heappush):
-            # growth queue entries are the 8-tuples; a seed's holds no
-            # children at index 6
-            if len(item) == 8 and item[6] is not None:
-                pushes.append(1)
-            return _fn(heap, item)
+        def recorded(*args, _fn=cg_search._child_scan):
+            scan, advance = _fn(*args)
 
-        def counted_pop(heap, _fn=cg_search.heappop):
-            item = _fn(heap)
-            if len(item) == 8:
-                pops.append(1)
-            return item
+            def recorded_scan(score, nmap, sig, handled, floor, on_stop):
+                def stop(est):
+                    log["scan_stops"] += 1
+                    if on_stop is not None:
+                        on_stop(est)
 
-        monkeypatch.setattr(cg_search, "heappush", counted_push)
-        monkeypatch.setattr(cg_search, "heappop", counted_pop)
-        audit = SearchAudit()
-        topk_search(q, build_index(g), SearchParams(k=5), audit=audit)
-        assert pushes
-        assert len(pushes) <= audit.expanded + len(pops)
+                has_ext, heads = scan(score, nmap, sig, handled, floor, stop)
+                log["heads"] += len(heads)
+                return has_ext, heads
 
-    def test_repush_keeps_the_expansion_tick(self, monkeypatch):
-        # the children of one expansion once took consecutive ticks, so
-        # the entry that holds them must keep the tick drawn at the
-        # expansion on every re-push; a fresh tick reorders equal keys
-        g, q = self.replicated_instance()
-        drawn = {}
-        repushes = []
+            return recorded_scan, advance
 
         def recorded_push(heap, item, _fn=cg_search.heappush):
-            if len(item) == 8 and item[6] is not None:
-                _, _, t, _, _, _, kids, i = item
-                if i == 0:
-                    # the entry keeps kids alive, so its id stays unique
-                    drawn[id(kids)] = t
-                else:
-                    repushes.append((drawn[id(kids)], t))
+            if len(item) == 9 and item[8] is not None:
+                log["pushes"].append(item)
             return _fn(heap, item)
 
+        def recorded_pop(heap, _fn=cg_search.heappop):
+            item = _fn(heap)
+            if len(item) == 9 and item[8] is not None:
+                log["pops"] += 1
+            return item
+
+        bound = _PairTableScorer.state_bound
+
+        def counted_bound(self, *args):
+            caller = sys._getframe(1).f_code.co_name
+            if caller in ("scan", "advance"):
+                log[caller] += 1
+            return bound(self, *args)
+
+        monkeypatch.setattr(cg_search, "_child_scan", recorded)
         monkeypatch.setattr(cg_search, "heappush", recorded_push)
+        monkeypatch.setattr(cg_search, "heappop", recorded_pop)
+        monkeypatch.setattr(_PairTableScorer, "state_bound", counted_bound)
         topk_search(q, build_index(g), SearchParams(k=5))
+        return log
+    def test_one_push_per_expansion_and_pop(self, monkeypatch):
+        # an expansion queues one entry per candidate list its scan keeps,
+        # its heads, and popping an entry queues at most one more, the next
+        # entry of that list; pushing every child that passes its estimate
+        # made 9,832 growth pushes here, and one entry per expansion 729
+        # (468 expansions, 681 pops); one entry per list cursor makes 1,136
+        # (825 heads, 491 child pops)
+        log = self.growth_log(monkeypatch)
+        assert log["pushes"]
+        assert len(log["pushes"]) <= log["heads"] + log["pops"]
+
+    def test_repush_keeps_the_expansion_tick(self, monkeypatch):
+        # every entry of one expansion, its heads and each re-push after a
+        # pop, carries the tick drawn for that expansion, and no other
+        # expansion draws it. The used-edge set in src is made once per
+        # expansion and the logged entries keep it alive, so its id names
+        # the expansion
+        log = self.growth_log(monkeypatch)
+        ticks = {}
+        cursors = set()
+        repushes = 0
+        for _, _, t, qe, _, _, _, _, src in log["pushes"]:
+            expansion = id(src[2])
+            ticks.setdefault(expansion, set()).add(t)
+            repushes += (expansion, qe) in cursors
+            cursors.add((expansion, qe))
         assert repushes
-        assert all(t == want for want, t in repushes)
+        assert all(len(drawn) == 1 for drawn in ticks.values())
+        drawn = [t for (t,) in ticks.values()]
+        assert len(set(drawn)) == len(drawn)
+
+    def test_estimates_follow_the_cursors(self, monkeypatch):
+        # a scan computes one estimate per candidate list it reaches, for a
+        # head or a list cut at the scan, and a pop at most one, for the
+        # entry its cursor moves to; estimating every child that passes
+        # the floor made 10,619 estimates here, where the cursors make
+        # 1,896 (1,407 at the scans for 825 heads and 582 cuts, 489 at 491
+        # child pops)
+        log = self.growth_log(monkeypatch)
+        assert log["heads"] and log["pops"]
+        assert log["scan"] == log["heads"] + log["scan_stops"]
+        assert log["advance"] <= log["pops"]
 
 
 class TestSeedPairBound:
